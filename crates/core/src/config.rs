@@ -14,35 +14,21 @@ pub struct PlannerCosts {
     pub disk_bytes_per_sec: f64,
     /// Assumed compute throughput in FLOP/s.
     pub flops_per_sec: f64,
-    /// Assumed network throughput in bytes/second for shipping materialized
-    /// features to remote workers. `0` (the default) means "single box, no
-    /// wire": the load-cost model charges disk only. The distributed
-    /// coordinator sets this from its network micro-probe when
-    /// `DistConfig::calibrate_net` is on, extending the measured-I/O
-    /// calibration of `IoConfig::calibrate` to bytes over the wire.
-    pub net_bytes_per_sec: f64,
 }
 
-json_struct!(PlannerCosts { disk_bytes_per_sec, flops_per_sec, net_bytes_per_sec });
+json_struct!(PlannerCosts { disk_bytes_per_sec, flops_per_sec });
 
 impl Default for PlannerCosts {
     fn default() -> Self {
-        PlannerCosts { disk_bytes_per_sec: 500e6, flops_per_sec: 6e12, net_bytes_per_sec: 0.0 }
+        PlannerCosts { disk_bytes_per_sec: 500e6, flops_per_sec: 6e12 }
     }
 }
 
 impl PlannerCosts {
     /// Converts a byte count into "missed compute" FLOPs — the paper's
-    /// `cload` metric: load time × compute throughput. When a network
-    /// bandwidth is configured (distributed execution), loading a
-    /// materialized chunk also pays a serial transfer leg: disk seconds +
-    /// wire seconds, both converted to missed compute.
+    /// `cload` metric: load time × compute throughput.
     pub fn load_cost_flops(&self, bytes: u64) -> f64 {
-        let mut secs = bytes as f64 / self.disk_bytes_per_sec;
-        if self.net_bytes_per_sec > 0.0 {
-            secs += bytes as f64 / self.net_bytes_per_sec;
-        }
-        secs * self.flops_per_sec
+        bytes as f64 / self.disk_bytes_per_sec * self.flops_per_sec
     }
 }
 
@@ -96,56 +82,26 @@ impl Default for HardwareProfile {
     }
 }
 
-/// Feature-store I/O scheduling and calibration knobs.
+/// Feature-store I/O calibration knobs.
 ///
-/// `prefetch`/`write_behind` control the asynchronous store pipeline
-/// (epoch-aware readahead for training scans, deferred chunk writes for
-/// materialization output). Both preserve bit-exact results — only the
-/// overlap of I/O with compute changes. `calibrate` replaces the planner's
-/// static `PlannerCosts::disk_bytes_per_sec` with a startup micro-probe of
-/// the actual machine, re-blended with the observed page-cache hit curve
-/// at every re-plan.
+/// `calibrate` replaces the planner's static
+/// `PlannerCosts::disk_bytes_per_sec` with a startup micro-probe of the
+/// actual machine, re-blended with the observed page-cache hit curve at
+/// every re-plan.
 #[derive(Debug, Clone, Copy)]
 pub struct IoConfig {
-    /// Overlap feature reads with training compute (double-buffered,
-    /// epoch-aware readahead on dedicated I/O threads).
-    pub prefetch: bool,
-    /// Dedicated I/O threads per prefetcher / write-behind engine.
-    pub io_threads: usize,
-    /// Defer materialization chunk writes to I/O threads (readers barrier
-    /// on in-flight chunks).
-    pub write_behind: bool,
     /// Measure disk bandwidth at session start and feed it to MAT-OPT
     /// instead of the static planner constant.
     pub calibrate: bool,
     /// Bytes transferred per calibration measurement.
     pub calibrate_probe_bytes: u64,
-    /// Failure-injection hook: artificial delay added to every chunk fetch
-    /// on the I/O threads, milliseconds. Tests use this to prove the
-    /// trainer *blocks* on slow prefetches instead of consuming stale
-    /// buffers. Leave 0 in production.
-    pub read_delay_ms: u64,
 }
 
-json_struct!(IoConfig {
-    prefetch,
-    io_threads,
-    write_behind,
-    calibrate,
-    calibrate_probe_bytes,
-    read_delay_ms
-});
+json_struct!(IoConfig { calibrate, calibrate_probe_bytes });
 
 impl Default for IoConfig {
     fn default() -> Self {
-        IoConfig {
-            prefetch: true,
-            io_threads: 2,
-            write_behind: true,
-            calibrate: false,
-            calibrate_probe_bytes: 4 << 20,
-            read_delay_ms: 0,
-        }
+        IoConfig { calibrate: false, calibrate_probe_bytes: 4 << 20 }
     }
 }
 
@@ -321,15 +277,8 @@ pub struct DistConfig {
     /// Handler threads per worker process (health probes stay responsive
     /// while a shard trains).
     pub worker_threads: usize,
-    /// Measure per-worker network bandwidth at coordinator start (echo
-    /// micro-probe against `/work/probe`) and feed the measured
-    /// bytes-over-wire term into MAT-OPT via
-    /// `PlannerCosts::net_bytes_per_sec`. Off by default: the probe is
-    /// always *run* and exported to telemetry, but only an explicit opt-in
-    /// changes planner inputs — keeping distributed plans (and therefore
-    /// selection output) bit-identical to the single-box run.
-    pub calibrate_net: bool,
-    /// Bytes echoed per network calibration probe.
+    /// Bytes echoed per network calibration probe (measured at coordinator
+    /// start and exported to telemetry; planner inputs are unaffected).
     pub net_probe_bytes: u64,
 }
 
@@ -342,7 +291,6 @@ json_struct!(DistConfig {
     connect_timeout_ms,
     max_body_bytes,
     worker_threads,
-    calibrate_net,
     net_probe_bytes
 });
 
@@ -357,7 +305,6 @@ impl Default for DistConfig {
             connect_timeout_ms: 2_000,
             max_body_bytes: 256 << 20,
             worker_threads: 2,
-            calibrate_net: false,
             net_probe_bytes: 1 << 20,
         }
     }
@@ -407,8 +354,7 @@ pub struct SystemConfig {
     pub gemm_kernel: String,
     /// Online inference server knobs (queue bounds, micro-batching).
     pub serving: ServingConfig,
-    /// Feature-store I/O pipeline knobs (prefetch, write-behind,
-    /// calibration).
+    /// Feature-store I/O calibration knobs.
     pub io: IoConfig,
     /// Live observability knobs (`/metrics`, health watchdog SLOs,
     /// structured event log).
@@ -476,7 +422,6 @@ impl SystemConfig {
             .planner(PlannerCosts {
                 disk_bytes_per_sec: 500e6,
                 flops_per_sec: 5e9,
-                net_bytes_per_sec: 0.0,
             })
             .hardware(HardwareProfile {
                 achieved_flops_per_sec: 2e9,
@@ -665,24 +610,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Overlap feature reads with training compute.
-    pub fn io_prefetch(mut self, v: bool) -> Self {
-        self.cfg.io.prefetch = v;
-        self
-    }
-
-    /// Dedicated I/O threads per prefetcher / write-behind engine.
-    pub fn io_threads(mut self, v: usize) -> Self {
-        self.cfg.io.io_threads = v;
-        self
-    }
-
-    /// Defer materialization chunk writes to I/O threads.
-    pub fn io_write_behind(mut self, v: bool) -> Self {
-        self.cfg.io.write_behind = v;
-        self
-    }
-
     /// Measure disk bandwidth at session start and feed it to MAT-OPT.
     pub fn io_calibrate(mut self, v: bool) -> Self {
         self.cfg.io.calibrate = v;
@@ -692,12 +619,6 @@ impl SystemConfigBuilder {
     /// Bytes transferred per calibration measurement.
     pub fn io_calibrate_probe_bytes(mut self, v: u64) -> Self {
         self.cfg.io.calibrate_probe_bytes = v;
-        self
-    }
-
-    /// Failure-injection: artificial per-chunk fetch delay, milliseconds.
-    pub fn io_read_delay_ms(mut self, v: u64) -> Self {
-        self.cfg.io.read_delay_ms = v;
         self
     }
 
@@ -809,13 +730,6 @@ impl SystemConfigBuilder {
         self
     }
 
-    /// Feed the measured network bandwidth into MAT-OPT (changes planner
-    /// inputs — distributed plans then diverge from single-box plans).
-    pub fn dist_calibrate_net(mut self, v: bool) -> Self {
-        self.cfg.dist.calibrate_net = v;
-        self
-    }
-
     /// Bytes echoed per network calibration probe.
     pub fn dist_net_probe_bytes(mut self, v: u64) -> Self {
         self.cfg.dist.net_probe_bytes = v;
@@ -867,7 +781,6 @@ mod tests {
             .planner(PlannerCosts {
                 disk_bytes_per_sec: 1.0,
                 flops_per_sec: 2.0,
-                net_bytes_per_sec: 0.0,
             })
             .hardware(HardwareProfile { page_cache_bytes: 99, ..HardwareProfile::default() })
             .workspace_bytes(8)
@@ -937,26 +850,17 @@ mod tests {
     fn io_knobs_build_and_round_trip() {
         use nautilus_util::json::{FromJson, ToJson};
         let cfg = SystemConfig::builder()
-            .io_prefetch(false)
-            .io_threads(5)
-            .io_write_behind(false)
             .io_calibrate(true)
             .io_calibrate_probe_bytes(1 << 20)
-            .io_read_delay_ms(7)
             .build();
-        assert!(!cfg.io.prefetch);
-        assert_eq!(cfg.io.io_threads, 5);
-        assert!(!cfg.io.write_behind);
         assert!(cfg.io.calibrate);
         assert_eq!(cfg.io.calibrate_probe_bytes, 1 << 20);
-        assert_eq!(cfg.io.read_delay_ms, 7);
 
         let bytes = nautilus_util::json::to_vec(&cfg.io.to_json());
         let back = IoConfig::from_json(&nautilus_util::json::from_slice(&bytes).unwrap())
             .expect("io config round-trips through json");
-        assert!(!back.prefetch && back.calibrate);
-        assert_eq!(back.io_threads, 5);
-        assert_eq!(back.read_delay_ms, 7);
+        assert!(back.calibrate);
+        assert_eq!(back.calibrate_probe_bytes, 1 << 20);
     }
 
     #[test]
@@ -1004,11 +908,11 @@ mod tests {
     }
 
     #[test]
-    fn io_defaults_enable_async_pipeline_but_not_calibration() {
-        let io = IoConfig::default();
-        assert!(io.prefetch && io.write_behind);
-        assert!(io.io_threads >= 1);
-        assert!(!io.calibrate, "calibration is opt-in (it touches the disk at startup)");
+    fn io_calibration_is_opt_in() {
+        assert!(
+            !IoConfig::default().calibrate,
+            "calibration is opt-in (it touches the disk at startup)"
+        );
     }
 
     #[test]
@@ -1023,7 +927,6 @@ mod tests {
             .dist_connect_timeout_ms(500)
             .dist_max_body_bytes(1 << 20)
             .dist_worker_threads(3)
-            .dist_calibrate_net(true)
             .dist_net_probe_bytes(4096)
             .build();
         assert_eq!(cfg.dist.lease_timeout_ms, 1234);
@@ -1034,7 +937,6 @@ mod tests {
         assert_eq!(cfg.dist.connect_timeout_ms, 500);
         assert_eq!(cfg.dist.max_body_bytes, 1 << 20);
         assert_eq!(cfg.dist.worker_threads, 3);
-        assert!(cfg.dist.calibrate_net);
         assert_eq!(cfg.dist.net_probe_bytes, 4096);
 
         let bytes = nautilus_util::json::to_vec(&cfg.dist.to_json());
@@ -1042,19 +944,7 @@ mod tests {
             .expect("dist config round-trips through json");
         assert_eq!(back.lease_timeout_ms, 1234);
         assert_eq!(back.max_shard_retries, 2);
-        assert!(back.calibrate_net);
-    }
-
-    #[test]
-    fn net_term_is_off_by_default_and_adds_serial_transfer_leg() {
-        let p = PlannerCosts::default();
-        assert_eq!(p.net_bytes_per_sec, 0.0, "single-box: no wire term");
-        let base = p.load_cost_flops(500_000_000);
-        let with_net = PlannerCosts { net_bytes_per_sec: 500e6, ..p };
-        // Equal disk and net bandwidth → the load leg exactly doubles.
-        let c = with_net.load_cost_flops(500_000_000);
-        assert!((c - 2.0 * base).abs() / c < 1e-12);
-        assert!(!DistConfig::default().calibrate_net, "net calibration is opt-in");
+        assert_eq!(back.net_probe_bytes, 4096);
     }
 
     #[test]

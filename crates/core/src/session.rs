@@ -27,7 +27,7 @@ use nautilus_data::Dataset;
 use nautilus_dnn::checkpoint::checkpoint_bytes;
 use nautilus_dnn::graph::GraphError;
 use nautilus_dnn::{ModelGraph, NodeId};
-use nautilus_store::{IoCalibration, IoPolicy, SharedIoStats, StoreError, TensorStore};
+use nautilus_store::{IoCalibration, SharedIoStats, StoreError, TensorStore};
 use nautilus_util::{eventlog, telemetry};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -335,12 +335,6 @@ impl ModelSelection {
         // The real store models the OS page cache at the size the hardware
         // profile declares (the simulated backend has its own model).
         store.set_page_cache_bytes(config.hardware.page_cache_bytes);
-        store.set_io_policy(IoPolicy {
-            prefetch: config.io.prefetch,
-            io_threads: config.io.io_threads,
-            write_behind: config.io.write_behind,
-            read_delay_ms: config.io.read_delay_ms,
-        });
         // MAT-ALL is the paper's unbounded baseline: it materializes every
         // materializable layer "irrespective of whether it is efficient"
         // (§5.1), so it is exempt from the Bdisk enforcement that guards

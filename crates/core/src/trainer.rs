@@ -22,7 +22,7 @@ use nautilus_data::Dataset;
 use nautilus_dnn::checkpoint::checkpoint_bytes;
 use nautilus_dnn::exec::{backward, forward, BatchInputs};
 use nautilus_dnn::{ModelGraph, NodeId, Optimizer};
-use nautilus_store::{EpochPrefetcher, StoreError, TensorStore};
+use nautilus_store::{StoreError, TensorStore};
 use nautilus_tensor::Tensor;
 use nautilus_util::telemetry;
 use std::collections::HashMap;
@@ -265,16 +265,6 @@ pub fn train_unit_retaining(
                 .collect();
             let train_targets = train.targets();
             let targets_per_record = train_targets.len().checked_div(n_train).unwrap_or(0);
-            // Materialized feeds stream from the store through the epoch
-            // prefetcher: generation e+1 (and, during the last epoch, the
-            // validation split) is read and decoded on I/O threads while
-            // epoch e computes. The prefetcher keeps all accounting on
-            // this thread in the synchronous order, so results and IO
-            // counters are bit-identical to synchronous reads.
-            let train_keys = mat_feed_keys(plan, "train");
-            let valid_keys = mat_feed_keys(plan, "valid");
-            let mut prefetcher =
-                EpochPrefetcher::new(store, &train_keys, &valid_keys, unit.epochs)?;
             let epoch_order = |epoch: usize| -> Vec<usize> {
                 let mut order: Vec<usize> = (0..n_train).collect();
                 if shuffle {
@@ -290,7 +280,7 @@ pub fn train_unit_retaining(
             for epoch in 0..unit.epochs {
                 let _sp_epoch = telemetry::span("train", "train.epoch");
                 backend.charge_epoch_overhead();
-                let feeds = assemble_feeds(plan, prefetcher.epoch(epoch)?, "train", train)?;
+                let feeds = assemble_feeds(plan, store, "train", train)?;
                 let mut epoch_loss = vec![0.0f32; unit.members.len()];
                 let active: Vec<bool> =
                     unit.member_epochs.iter().map(|&e| epoch < e).collect();
@@ -360,8 +350,8 @@ pub fn train_unit_retaining(
                 }
             }
 
-            // Validation (prefetched alongside the last training epoch).
-            let feeds = assemble_feeds(plan, prefetcher.valid()?, "valid", valid)?;
+            // Validation: one read of the valid split after the last epoch.
+            let feeds = assemble_feeds(plan, store, "valid", valid)?;
             let valid_targets = valid.targets();
             let t0 = Instant::now();
             let mut inputs = BatchInputs::new();
@@ -418,28 +408,15 @@ fn charge_feed_reads(
     }
 }
 
-/// Store keys for the plan's materialized feeds, in feed order.
-fn mat_feed_keys(plan: &ExecutablePlan, split: &str) -> Vec<String> {
-    plan.feeds
-        .iter()
-        .filter_map(|feed| match feed {
-            PlanFeed::Raw { .. } => None,
-            PlanFeed::Materialized { key, .. } => Some(format!("{key}:{split}")),
-        })
-        .collect()
-}
-
-/// Real per-epoch data feeds: raw feeds slice the in-memory dataset,
-/// materialized feeds take the tensors produced for this generation by the
-/// [`EpochPrefetcher`] (chunk-granular store reads, one tensor per
-/// materialized feed in feed order).
+/// Real per-epoch data feeds: raw feeds take the in-memory dataset,
+/// materialized feeds are read in full from the store in feed order (the
+/// OS page cache makes the per-epoch re-reads cheap, §3).
 fn assemble_feeds(
     plan: &ExecutablePlan,
-    mats: Vec<Tensor>,
+    store: &TensorStore,
     split: &str,
     data: &Dataset,
 ) -> Result<Vec<(NodeId, Tensor)>, TrainError> {
-    let mut mats = mats.into_iter();
     let mut feeds = Vec::with_capacity(plan.feeds.len());
     for feed in &plan.feeds {
         match feed {
@@ -447,9 +424,7 @@ fn assemble_feeds(
                 feeds.push((*plan_node, data.inputs.clone()));
             }
             PlanFeed::Materialized { plan_node, key, .. } => {
-                let tensor = mats.next().ok_or_else(|| {
-                    TrainError::Data(format!("missing prefetched feed '{key}:{split}'"))
-                })?;
+                let (tensor, _) = store.read_all(&format!("{key}:{split}"))?;
                 if tensor.shape().dim(0) != data.len() {
                     return Err(TrainError::Data(format!(
                         "feature '{key}:{split}' has {} records, dataset has {}",

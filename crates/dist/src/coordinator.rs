@@ -26,7 +26,7 @@ use nautilus_core::session::{self, ModelSelection, SessionError, Strategy};
 use nautilus_core::spec::CandidateModel;
 use nautilus_data::Dataset;
 use nautilus_dnn::{checkpoint, ModelGraph};
-use nautilus_store::{IoPolicy, SharedIoStats, StoreError, TensorStore};
+use nautilus_store::{SharedIoStats, StoreError, TensorStore};
 use nautilus_util::http;
 use nautilus_util::{eventlog, telemetry};
 use std::collections::{BTreeMap, VecDeque};
@@ -242,8 +242,7 @@ fn unit_features(
     for base in plan.materialized_keys() {
         for split in ["train", "valid"] {
             let key = format!("{base}:{split}");
-            let cp = store.chunk_plan(&key)?;
-            for chunk in &cp.chunks {
+            for chunk in store.chunk_plan(&key)? {
                 let bytes = std::fs::read(&chunk.path)
                     .map_err(|e| DistError::Io(format!("chunk {}: {e}", chunk.path.display())))?;
                 out.push((key.clone(), chunk.records as u64, bytes));
@@ -262,7 +261,7 @@ pub fn run_search(
 ) -> Result<DistReport, DistError> {
     telemetry::init_from_env();
     eventlog::init_from_env();
-    let mut config = job.config.clone();
+    let config = &job.config;
     let dcfg = config.dist;
     let connect_timeout = Duration::from_millis(dcfg.connect_timeout_ms.max(1));
     let lease_timeout = Duration::from_millis(dcfg.lease_timeout_ms.max(1));
@@ -286,11 +285,9 @@ pub fn run_search(
     }
     telemetry::DIST_WORKERS_ALIVE.set(alive.len() as i64);
 
-    // --- Network micro-probe: extend the I/O calibration with a measured
-    // bytes-over-wire term. Telemetry always reports the measurement; the
-    // planner only consumes it when `dist.calibrate_net` is set, because a
-    // changed planner constant can change `V` — and the default contract is
-    // bit-identity with a single box planning from the same config. ---
+    // --- Network micro-probe: measure bytes over the wire for telemetry
+    // and the report. The planner never consumes it, so `V` stays
+    // bit-identical to a single box planning from the same config. ---
     let net_bps = probe_net(
         &alive.iter().map(String::as_str).collect::<Vec<_>>(),
         dcfg.net_probe_bytes as usize,
@@ -306,9 +303,6 @@ pub fn run_search(
                 ("workers", eventlog::Value::U64(alive.len() as u64)),
             ],
         );
-        if dcfg.calibrate_net {
-            config.planner.net_bytes_per_sec = net_bps;
-        }
     }
 
     // --- Deterministic planning, identical to the single-box session. ---
@@ -331,8 +325,8 @@ pub fn run_search(
         }
     }
     let (v, _milp) =
-        ModelSelection::choose_v(&multi, &job.candidates, &config, job.strategy, max_records);
-    let units = ModelSelection::build_units(&multi, &job.candidates, &config, job.strategy, &v)?;
+        ModelSelection::choose_v(&multi, &job.candidates, config, job.strategy, max_records);
+    let units = ModelSelection::build_units(&multi, &job.candidates, config, job.strategy, &v)?;
 
     // --- Local feature materialization (the coordinator owns the store;
     // workers get the chunks shipped per shard). ---
@@ -340,12 +334,6 @@ pub fn run_search(
     let io = SharedIoStats::new();
     let mut store = TensorStore::open(workdir.join("features"), io.clone())?;
     store.set_page_cache_bytes(config.hardware.page_cache_bytes);
-    store.set_io_policy(IoPolicy {
-        prefetch: config.io.prefetch,
-        io_threads: config.io.io_threads,
-        write_behind: config.io.write_behind,
-        read_delay_ms: config.io.read_delay_ms,
-    });
     let enforced_budget =
         if job.strategy == Strategy::MatAll { u64::MAX } else { config.disk_budget_bytes };
     let mut materializer = Materializer::new(store, enforced_budget);
@@ -353,7 +341,6 @@ pub fn run_search(
     let _ = materializer.install_v(&multi, &job.candidates, v.clone(), &mut backend)?;
     materializer.materialize_batch(&multi, "train", Some(&job.train), job.train.len(), &mut backend)?;
     materializer.materialize_batch(&multi, "valid", Some(&job.valid), job.valid.len(), &mut backend)?;
-    materializer.store.flush_writes()?;
 
     // --- Shard payloads: shared blocks once, per-unit feature manifests. ---
     let graph_blocks: Vec<Vec<u8>> =
@@ -367,7 +354,7 @@ pub fn run_search(
             ui,
             max_records,
             &v,
-            &config,
+            config,
             &job.candidates,
             &data_block,
             &graph_blocks,

@@ -29,7 +29,7 @@ use nautilus_util::json_struct;
 use std::collections::BTreeSet;
 
 /// Current wire-schema version; bump on any breaking DTO change.
-pub const WIRE_VERSION: u64 = 1;
+pub const WIRE_VERSION: u64 = 2;
 
 /// Errors from encoding/decoding wire messages.
 #[derive(Debug)]

@@ -23,7 +23,7 @@ use nautilus_core::backend::{Backend, BackendKind};
 use nautilus_core::multimodel::MultiModelGraph;
 use nautilus_core::session::ModelSelection;
 use nautilus_core::trainer::CycleDataView;
-use nautilus_store::{IoPolicy, SharedIoStats, TensorStore};
+use nautilus_store::{SharedIoStats, TensorStore};
 use nautilus_util::http::{serve, Limits, Request, Response, ServerHandle};
 use nautilus_util::json::Json;
 use nautilus_util::{eventlog, telemetry};
@@ -198,21 +198,14 @@ fn train_shard(
 
     // Fresh per-shard feature store; replaying chunks in manifest order
     // reproduces the coordinator's chunk boundaries (and thus identical
-    // prefetch/read behavior).
+    // read accounting).
     let io = SharedIoStats::new();
     let mut store = TensorStore::open(state.workdir.join(format!("shard-{seq}")), io.clone())
         .map_err(|e| (500u16, format!("store: {e}")))?;
     store.set_page_cache_bytes(spec.config.hardware.page_cache_bytes);
-    store.set_io_policy(IoPolicy {
-        prefetch: spec.config.io.prefetch,
-        io_threads: spec.config.io.io_threads,
-        write_behind: spec.config.io.write_behind,
-        read_delay_ms: spec.config.io.read_delay_ms,
-    });
     for (key, tensor) in &spec.features {
         store.append(key, tensor).map_err(|e| (500u16, format!("store append: {e}")))?;
     }
-    store.flush_writes().map_err(|e| (500u16, format!("store flush: {e}")))?;
 
     let mut backend = Backend::new(BackendKind::Real, spec.config.hardware, io);
     let data = CycleDataView::Real { train: &spec.train, valid: &spec.valid };

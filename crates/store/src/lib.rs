@@ -15,12 +15,12 @@
 //!   OS cache do its thing.
 //! * [`tensor_store`] — an append-only, chunked store of per-record tensors
 //!   keyed by layer, supporting incremental materialization (one chunk per
-//!   labeling cycle, §4.2.3) and full scans in record order.
+//!   labeling cycle, §4.2.3) and full scans in record order. Scans fan
+//!   chunk read and decode over the shared thread pool and account the
+//!   bytes on the calling thread in append order, so results and counters
+//!   do not depend on the pool width. Repeated epoch reads are left to the
+//!   OS page cache, as in the paper.
 //! * [`budget`] — disk budget bookkeeping for `Bdisk` enforcement.
-//! * [`prefetch`] — epoch-aware asynchronous readahead (decode chunk N+1
-//!   while the trainer consumes chunk N) and write-behind for
-//!   materialization output, with all accounting kept on the consumer
-//!   thread so prefetched runs stay bit-identical to synchronous ones.
 //! * [`calibrate`] — a startup micro-probe measuring the machine's actual
 //!   I/O bandwidths, blended with the observed page-cache hit curve to
 //!   replace the planner's static disk constant.
@@ -29,12 +29,10 @@ pub mod budget;
 pub mod calibrate;
 pub mod io;
 pub mod pagecache;
-pub mod prefetch;
 pub mod tensor_store;
 
 pub use budget::DiskBudget;
 pub use calibrate::IoCalibration;
 pub use io::{IoStats, SharedIoStats};
 pub use pagecache::{CacheStats, PageCacheModel};
-pub use prefetch::{EpochPrefetcher, IoPolicy};
-pub use tensor_store::{ChunkPlan, ChunkRef, StoreError, TensorStore};
+pub use tensor_store::{ChunkRef, StoreError, TensorStore};

@@ -9,7 +9,6 @@
 
 use crate::io::SharedIoStats;
 use crate::pagecache::{CacheStats, PageCacheModel};
-use crate::prefetch::{IoPolicy, WriteBehind};
 use nautilus_tensor::{ser, Shape, Tensor};
 use nautilus_util::{json, json_struct, pool, telemetry};
 use std::collections::hash_map::DefaultHasher;
@@ -108,30 +107,15 @@ pub struct TensorStore {
     manifest: Manifest,
     io: SharedIoStats,
     cache: Mutex<PageCacheModel>,
-    policy: IoPolicy,
-    wb: WriteBehind,
 }
 
-/// One chunk of a key, as the prefetcher sees it.
+/// One chunk of a key, as a chunk-granular reader sees it.
 #[derive(Debug, Clone)]
 pub struct ChunkRef {
     /// Absolute path of the chunk file.
     pub path: PathBuf,
-    /// The chunk's key in the page-cache model.
-    pub cache_key: String,
     /// Records in the chunk.
     pub records: usize,
-    /// Encoded size of the chunk, bytes.
-    pub bytes: u64,
-}
-
-/// The on-disk chunk layout of one key, in append order.
-#[derive(Debug, Clone)]
-pub struct ChunkPlan {
-    /// Per-record tensor shape.
-    pub record_shape: Vec<usize>,
-    /// Chunks in append order.
-    pub chunks: Vec<ChunkRef>,
 }
 
 fn dir_for(key: &str) -> String {
@@ -162,8 +146,6 @@ impl TensorStore {
             manifest,
             io,
             cache: Mutex::new(PageCacheModel::new(DEFAULT_PAGE_CACHE_BYTES)),
-            policy: IoPolicy::default(),
-            wb: WriteBehind::new(),
         })
     }
 
@@ -194,46 +176,20 @@ impl TensorStore {
         self.cache_lock().stats()
     }
 
-    /// Replaces the store's I/O scheduling policy.
-    pub fn set_io_policy(&mut self, policy: IoPolicy) {
-        self.policy = policy;
-    }
-
-    /// The store's current I/O scheduling policy.
-    pub fn io_policy(&self) -> IoPolicy {
-        self.policy
-    }
-
-    /// The chunk layout of `key` (for chunk-granular readers such as the
-    /// prefetcher). Barriers on pending write-behind chunks first, so the
-    /// returned paths are safe to read.
-    pub fn chunk_plan(&self, key: &str) -> Result<ChunkPlan, StoreError> {
-        self.wb.drain()?;
+    /// The chunks of `key` in append order, for chunk-granular readers
+    /// such as the distributed coordinator's shard builder.
+    pub fn chunk_plan(&self, key: &str) -> Result<Vec<ChunkRef>, StoreError> {
         let meta = self
             .manifest
             .keys
             .get(key)
             .ok_or_else(|| StoreError::MissingKey(key.to_string()))?;
         let dir = self.root.join(&meta.dir);
-        Ok(ChunkPlan {
-            record_shape: meta.record_shape.clone(),
-            chunks: meta
-                .chunks
-                .iter()
-                .map(|c| ChunkRef {
-                    path: dir.join(&c.file),
-                    cache_key: format!("{}/{}", meta.dir, c.file),
-                    records: c.records,
-                    bytes: c.bytes,
-                })
-                .collect(),
-        })
-    }
-
-    /// Blocks until every deferred (write-behind) chunk write has landed,
-    /// surfacing the first deferred write error if any occurred.
-    pub fn flush_writes(&self) -> Result<(), StoreError> {
-        self.wb.drain()
+        Ok(meta
+            .chunks
+            .iter()
+            .map(|c| ChunkRef { path: dir.join(&c.file), records: c.records })
+            .collect())
     }
 
     /// Publishes the cache model's occupancy as the `pagecache.used_bytes`
@@ -246,7 +202,7 @@ impl TensorStore {
 
     /// Splits a finished chunk read into cached vs disk bytes through the
     /// page-cache model and records both into the shared counters.
-    pub(crate) fn account_chunk_read(&self, chunk_key: &str, bytes: u64) {
+    fn account_chunk_read(&self, chunk_key: &str, bytes: u64) {
         let outcome = {
             let mut cache = self.cache_lock();
             let o = cache.read(chunk_key, bytes);
@@ -355,13 +311,8 @@ impl TensorStore {
             std::fs::create_dir_all(&dir)?;
             paths.push((dir.join(&file), file));
         }
-        // Phase 2 (parallel): encode each chunk; write it inline, or — in
-        // write-behind mode — hand the encoded bytes back for deferral so
-        // only the `fs::write` leaves the critical path. Byte counts (and
-        // therefore manifest/budget/telemetry accounting) are known
-        // synchronously either way.
-        let deferred = self.policy.write_behind;
-        let written: Vec<Result<(u64, Option<Vec<u8>>), StoreError>> = pool::join_all(
+        // Phase 2 (parallel): encode and write each chunk.
+        let written: Vec<Result<u64, StoreError>> = pool::join_all(
             items
                 .iter()
                 .zip(paths.iter())
@@ -371,31 +322,19 @@ impl TensorStore {
                             let _sp = telemetry::span("store", "store.chunk_encode");
                             ser::encode(batch)
                         };
-                        let n = bytes.len() as u64;
-                        if deferred {
-                            return Ok((n, Some(bytes)));
-                        }
                         let _sp = telemetry::span("store", "store.chunk_write");
                         std::fs::write(path, &bytes)?;
-                        Ok((n, None))
+                        Ok(bytes.len() as u64)
                     })
-                        as Box<dyn FnOnce() -> Result<(u64, Option<Vec<u8>>), StoreError> + Send + '_>
+                        as Box<dyn FnOnce() -> Result<u64, StoreError> + Send + '_>
                 })
                 .collect(),
         );
         // Phase 3 (sequential): fold the chunk metadata into the manifest
-        // in input order and persist it once. Deferred chunk payloads are
-        // queued to the write-behind threads here; readers barrier on them
-        // via `chunk_plan`/`read_all`/`read_records`, and deferred write
-        // errors surface at that barrier (or at `flush_writes`). Note the
-        // manifest can momentarily name chunks whose data is still in
-        // flight — a crash in that window loses the tail of the append,
-        // which is the documented write-behind trade-off.
+        // in input order and persist it once, after every chunk landed.
         let mut sizes = Vec::with_capacity(items.len());
-        for (((key, batch), (path, file)), result) in
-            items.iter().zip(paths.into_iter()).zip(written)
-        {
-            let (n, payload) = result?;
+        for (((key, batch), (_, file)), result) in items.iter().zip(paths).zip(written) {
+            let n = result?;
             let entry = self.manifest.keys.get_mut(key).expect("entry created in phase 1");
             let chunk_key = format!("{}/{file}", entry.dir);
             entry.chunks.push(ChunkMeta { file, records: batch.shape().dim(0), bytes: n });
@@ -407,9 +346,6 @@ impl TensorStore {
                 Self::publish_cache_gauge(&cache);
             }
             self.io.record_write(n);
-            if let Some(data) = payload {
-                self.wb.enqueue(path, data, self.policy.io_threads);
-            }
             sizes.push(n);
         }
         self.persist_manifest()?;
@@ -420,7 +356,6 @@ impl TensorStore {
     /// order. Returns the tensor and the number of bytes read.
     pub fn read_all(&self, key: &str) -> Result<(Tensor, u64), StoreError> {
         let _sp = telemetry::span("store", "store.read_all");
-        self.wb.drain()?; // read barrier on deferred chunk writes
         let meta = self
             .manifest
             .keys
@@ -477,7 +412,6 @@ impl TensorStore {
         end: usize,
     ) -> Result<(Tensor, u64), StoreError> {
         let _sp = telemetry::span("store", "store.read_records");
-        self.wb.drain()?; // read barrier on deferred chunk writes
         let meta = self
             .manifest
             .keys
@@ -572,7 +506,6 @@ impl TensorStore {
 
     /// Removes a key and its data; returns the bytes freed.
     pub fn delete(&mut self, key: &str) -> Result<u64, StoreError> {
-        self.wb.drain()?; // never remove a directory with writes in flight
         let Some(meta) = self.manifest.keys.remove(key) else { return Ok(0) };
         {
             let mut cache = self.cache_lock();
@@ -597,15 +530,6 @@ impl TensorStore {
             freed += self.delete(&k)?;
         }
         Ok(freed)
-    }
-}
-
-impl Drop for TensorStore {
-    fn drop(&mut self) {
-        // Land any deferred chunk writes and stop the I/O threads. Errors
-        // cannot propagate from drop; callers that care call
-        // `flush_writes` first.
-        let _ = self.wb.shutdown();
     }
 }
 
@@ -878,58 +802,48 @@ mod tests {
     }
 
     #[test]
-    fn write_behind_append_many_matches_synchronous() {
+    fn append_many_survives_drop_and_reopen() {
         let mut rng = seeded_rng(21);
         let batches: Vec<(String, Tensor)> = vec![
             ("a".to_string(), randn([3, 4], 1.0, &mut rng)),
             ("b".to_string(), randn([2, 4], 1.0, &mut rng)),
             ("a".to_string(), randn([1, 4], 1.0, &mut rng)),
         ];
-        let root_sync = temp_root("wb-sync");
-        let mut sync = TensorStore::open(&root_sync, SharedIoStats::new()).unwrap();
-        let sync_sizes = sync.append_many(&batches).unwrap();
-
-        let root_wb = temp_root("wb-def");
+        let root = temp_root("many-reopen");
         let io = SharedIoStats::new();
-        let mut wb = TensorStore::open(&root_wb, io.clone()).unwrap();
-        wb.set_io_policy(IoPolicy { write_behind: true, ..IoPolicy::default() });
-        let wb_sizes = wb.append_many(&batches).unwrap();
-        // Byte sizes (and the write counters budget charges depend on) are
-        // known synchronously even though the writes are deferred.
-        assert_eq!(wb_sizes, sync_sizes);
+        let mut s = TensorStore::open(&root, io.clone()).unwrap();
+        let sizes = s.append_many(&batches).unwrap();
         assert_eq!(io.snapshot().write_ops, 3);
-        // Reads barrier on the in-flight chunks: data is always correct.
-        for key in ["a", "b"] {
-            let (dt, _) = wb.read_all(key).unwrap();
-            let (st, _) = sync.read_all(key).unwrap();
-            assert_eq!(dt, st, "data for {key}");
-        }
-        wb.flush_writes().unwrap();
-        // Reopen: everything landed on disk.
-        drop(wb);
-        let reopened = TensorStore::open(&root_wb, SharedIoStats::new()).unwrap();
+        assert_eq!(sizes.iter().sum::<u64>(), io.snapshot().disk_write_bytes);
+        let before: Vec<Tensor> =
+            ["a", "b"].iter().map(|k| s.read_all(k).unwrap().0).collect();
+        drop(s);
+        // Every chunk is on disk once `append_many` returns.
+        let reopened = TensorStore::open(&root, SharedIoStats::new()).unwrap();
         assert_eq!(reopened.num_records("a"), 4);
-        let (t, _) = reopened.read_all("b").unwrap();
-        assert_eq!(t.shape().0, vec![2, 4]);
-        std::fs::remove_dir_all(&root_sync).unwrap();
-        std::fs::remove_dir_all(&root_wb).unwrap();
+        assert_eq!(reopened.bytes("a") + reopened.bytes("b"), sizes.iter().sum::<u64>());
+        for (k, want) in ["a", "b"].iter().zip(&before) {
+            let (t, _) = reopened.read_all(k).unwrap();
+            assert_eq!(&t, want, "data for {k}");
+        }
+        let (a, _) = reopened.read_all("a").unwrap();
+        assert_eq!(&a.data()[..12], batches[0].1.data());
+        assert_eq!(&a.data()[12..], batches[2].1.data());
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
-    fn write_behind_delete_waits_for_inflight_chunks() {
-        let root = temp_root("wb-del");
+    fn oversized_chunk_header_is_a_bad_chunk_not_an_abort() {
+        let root = temp_root("badhdr");
         let mut s = TensorStore::open(&root, SharedIoStats::new()).unwrap();
-        s.set_io_policy(IoPolicy { write_behind: true, io_threads: 1, ..IoPolicy::default() });
-        let items: Vec<(String, Tensor)> =
-            (0..8).map(|_| ("k".to_string(), Tensor::ones([16, 64]))).collect();
-        s.append_many(&items).unwrap();
-        // Delete must drain the queue before removing the directory —
-        // otherwise a deferred write would recreate files under a removed
-        // path and the error would surface as a spurious failure later.
-        let freed = s.delete("k").unwrap();
-        assert!(freed > 0);
-        assert!(!s.contains("k"));
-        s.flush_writes().unwrap();
+        s.append("k", &Tensor::ones([2, 3])).unwrap();
+        // Overwrite the chunk with a header claiming rank u32::MAX.
+        let chunk = s.chunk_plan("k").unwrap()[0].path.clone();
+        let mut hdr = b"NTSR".to_vec();
+        hdr.extend_from_slice(&1u32.to_le_bytes());
+        hdr.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&chunk, &hdr).unwrap();
+        assert!(matches!(s.read_all("k"), Err(StoreError::BadChunk(_))));
         std::fs::remove_dir_all(&root).unwrap();
     }
 
@@ -939,13 +853,12 @@ mod tests {
         let mut s = TensorStore::open(&root, SharedIoStats::new()).unwrap();
         s.append("k", &Tensor::ones([3, 2])).unwrap();
         s.append("k", &Tensor::ones([2, 2])).unwrap();
-        let plan = s.chunk_plan("k").unwrap();
-        assert_eq!(plan.record_shape, vec![2]);
-        assert_eq!(plan.chunks.len(), 2);
-        assert_eq!(plan.chunks[0].records, 3);
-        assert_eq!(plan.chunks[1].records, 2);
-        assert!(plan.chunks[0].path.exists());
-        assert!(plan.chunks[0].cache_key.ends_with("chunk-000000.bin"));
+        let chunks = s.chunk_plan("k").unwrap();
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(chunks[0].records, 3);
+        assert_eq!(chunks[1].records, 2);
+        assert!(chunks[0].path.exists());
+        assert!(chunks[0].path.ends_with("chunk-000000.bin"));
         assert!(matches!(s.chunk_plan("nope"), Err(StoreError::MissingKey(_))));
         std::fs::remove_dir_all(&root).unwrap();
     }

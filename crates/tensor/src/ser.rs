@@ -80,11 +80,18 @@ pub fn decode_from(buf: &mut &[u8]) -> Result<Tensor, DecodeError> {
         return Err(DecodeError::BadVersion(version));
     }
     let rank = buf.take_u32_le().ok_or(DecodeError::Truncated)? as usize;
+    // Every dim takes 8 bytes: bound the rank by the buffer before
+    // allocating for it.
+    if rank > buf.remaining() / 8 {
+        return Err(DecodeError::Truncated);
+    }
     let mut dims = Vec::with_capacity(rank);
     let mut elems: u64 = 1;
     for _ in 0..rank {
         let d = buf.take_u64_le().ok_or(DecodeError::Truncated)?;
-        elems = elems.saturating_mul(d);
+        // Multiply in `Shape::num_elements` order, so a later zero dim
+        // cannot hide an overflowing prefix.
+        elems = elems.checked_mul(d).ok_or(DecodeError::TooLarge(u64::MAX))?;
         dims.push(d as usize);
     }
     if elems > MAX_ELEMENTS {
@@ -186,6 +193,27 @@ mod tests {
         b.put_u32_le(2);
         b.put_u64_le(1 << 40);
         b.put_u64_le(1 << 40);
+        assert!(matches!(decode(&b), Err(DecodeError::TooLarge(_))));
+    }
+
+    #[test]
+    fn rejects_rank_beyond_buffer_without_allocating() {
+        let mut b = Vec::new();
+        b.put_slice(MAGIC);
+        b.put_u32_le(VERSION);
+        b.put_u32_le(u32::MAX);
+        assert_eq!(decode(&b), Err(DecodeError::Truncated));
+    }
+
+    #[test]
+    fn rejects_dims_whose_product_overflows_before_a_zero() {
+        let mut b = Vec::new();
+        b.put_slice(MAGIC);
+        b.put_u32_le(VERSION);
+        b.put_u32_le(3);
+        b.put_u64_le(1 << 40);
+        b.put_u64_le(1 << 40);
+        b.put_u64_le(0);
         assert!(matches!(decode(&b), Err(DecodeError::TooLarge(_))));
     }
 }

@@ -753,14 +753,6 @@ declare_counters! {
     PAGECACHE_HITS => "pagecache.hits";
     /// Page-cache read misses (object count).
     PAGECACHE_MISSES => "pagecache.misses";
-    /// Prefetched generations that were fully resident when the trainer
-    /// asked for them (compute fully overlapped the I/O).
-    PREFETCH_HITS => "prefetch.hits";
-    /// Prefetched generations the trainer had to block on (I/O slower
-    /// than compute; the wait shows up as a `prefetch.wait` span).
-    PREFETCH_STALLS => "prefetch.stalls";
-    /// Chunk writes deferred to the write-behind I/O threads.
-    WRITE_BEHIND_CHUNKS => "write_behind.chunks";
     /// Gauge: the disk-throughput constant (bytes/s) the MILP consumed on
     /// its most recent solve — measured when I/O calibration is on, the
     /// static default otherwise.
@@ -789,10 +781,6 @@ declare_counters! {
     DIST_LEASE_TIMEOUTS => "dist.lease_timeouts";
     /// Shards completed successfully by remote workers.
     DIST_SHARDS_DONE => "dist.shards_done";
-    /// Gauge: the network-throughput constant (bytes/s) the MILP consumed
-    /// on its most recent solve — measured when net calibration is on,
-    /// 0 (no wire term) otherwise.
-    PLANNER_NET_BPS => "planner.net_bytes_per_sec";
 }
 
 /// Interns a dynamically named counter (e.g. `pool.worker3.steals`),
@@ -1466,11 +1454,14 @@ mod tests {
         assert!(table.contains("serve.request_us"), "histogram row in table:\n{table}");
 
         // Gauges: set/add (negative deltas included), registration, table.
+        // The add/get check uses a gauge of its own: pool workers started
+        // by concurrently running tests move `pool.parked_workers`.
         SERVE_BATCH_QUEUE_DEPTH.set(4);
-        POOL_PARKED_WORKERS.add(2);
-        POOL_PARKED_WORKERS.add(-1);
+        let deltas = gauge("test.gauge_deltas");
+        deltas.add(2);
+        deltas.add(-1);
         assert_eq!(SERVE_BATCH_QUEUE_DEPTH.get(), 4);
-        assert_eq!(POOL_PARKED_WORKERS.get(), 1);
+        assert_eq!(deltas.get(), 1);
         let dg = gauge("test.dynamic_gauge");
         dg.set(-7);
         assert!(std::ptr::eq(dg, gauge("test.dynamic_gauge")), "gauge interning is stable");
