@@ -150,3 +150,100 @@ fn trained_graph_and_adapter_deltas_survive_the_wire() {
     let recomposed = apply_delta(&base, &delta_rt).expect("delta applies");
     assert_graphs_bit_identical(&graph, &recomposed, "recomposed from delta");
 }
+
+/// Byte soup for both frame decoders, built from valid frames: random
+/// truncations, byte flips, spliced random bytes, and header numbers
+/// replaced by extreme values (half of the edits land in the JSON header,
+/// where lengths and counts live). Decoding must return on every input,
+/// never panic or allocate past the frame, and every strict prefix of a
+/// valid frame must be an error.
+#[test]
+fn frame_decoders_are_total_over_byte_soup() {
+    use nautilus_util::prop::{prop_check, Gen};
+    use nautilus_util::rng::{Rng, StdRng};
+
+    const NUMBERS: [&str; 7] =
+        ["0", "1", "9", "4294967296", "18446744073709551615", "99999999999999999999", "-1"];
+
+    struct Soup(Vec<u8>);
+    impl Gen for Soup {
+        type Value = Vec<u8>;
+        fn generate(&self, rng: &mut StdRng) -> Vec<u8> {
+            let mut b = self.0.clone();
+            let header_end = 8 + u64::from_le_bytes(b[..8].try_into().unwrap()) as usize;
+            for _ in 0..rng.gen_range(1usize..4) {
+                let span = if rng.gen_bool(0.5) { header_end.min(b.len()) } else { b.len() };
+                let at = rng.gen_range(0..span.max(1));
+                match rng.gen_range(0u32..4) {
+                    0 => b.truncate(at),
+                    1 if at < b.len() => b[at] ^= 1 << rng.gen_range(0u32..8),
+                    2 => {
+                        let n = rng.gen_range(1usize..16);
+                        let junk: Vec<u8> =
+                            (0..n).map(|_| rng.gen_range(0u32..256) as u8).collect();
+                        b.splice(at..at, junk);
+                    }
+                    _ => {
+                        let Some(start) = (at..b.len()).find(|&i| b[i].is_ascii_digit()) else {
+                            continue;
+                        };
+                        let end =
+                            (start..b.len()).find(|&i| !b[i].is_ascii_digit()).unwrap_or(b.len());
+                        b.splice(start..end, NUMBERS[rng.gen_range(0..NUMBERS.len())].bytes());
+                    }
+                }
+            }
+            b
+        }
+        fn shrink(&self, v: &Vec<u8>) -> Vec<Vec<u8>> {
+            if v.is_empty() {
+                return Vec::new();
+            }
+            vec![v[..v.len() / 2].to_vec(), v[..v.len() - 1].to_vec()]
+        }
+    }
+
+    let spec = WorkloadSpec { kind: WorkloadKind::Ftr2, scale: Scale::Tiny };
+    let mut candidates = spec.candidates().expect("workload builds");
+    candidates.truncate(1);
+    let (train, valid) = tiny_datasets();
+    let chunk = Tensor::from_vec([2, 2], vec![0.5f32, -1.25, 3.75, 0.125]).unwrap();
+    let features = vec![("enc0:train".to_string(), 2u64, nautilus_tensor::ser::encode(&chunk))];
+    let graph_blocks: Vec<Vec<u8>> =
+        candidates.iter().map(|c| checkpoint::save_to_bytes(&c.graph)).collect();
+    let request = proto::encode_train_request(
+        Strategy::Nautilus,
+        0,
+        256,
+        &BTreeSet::from([nautilus_core::multimodel::MNodeId(1)]),
+        &nautilus_core::SystemConfig::tiny(),
+        &candidates,
+        &proto::encode_data_block(&train, &valid),
+        &graph_blocks,
+        &features,
+    );
+    let response = proto::encode_train_response(3, 1.5, 2.5e9, &[], Some(&candidates[0].graph));
+    assert!(proto::decode_train_request(&request).is_ok());
+    assert!(proto::decode_train_response(&response).is_ok());
+
+    prop_check(0xD157_0001, 300, &Soup(request.clone()), |bytes| {
+        let _ = proto::decode_train_request(bytes);
+        Ok(())
+    });
+    prop_check(0xD157_0002, 300, &Soup(response.clone()), |bytes| {
+        let _ = proto::decode_train_response(bytes);
+        Ok(())
+    });
+    // Truncations: every cut inside the headers, a seeded sample of the
+    // (much longer) payloads.
+    let mut rng = <StdRng as nautilus_util::rng::SeedableRng>::seed_from_u64(0xD157_0003);
+    for frame in [&request, &response] {
+        let header_end = 8 + u64::from_le_bytes(frame[..8].try_into().unwrap()) as usize;
+        let cuts = (0..header_end + 64).chain((0..200).map(|_| rng.gen_range(0..frame.len())));
+        for cut in cuts.filter(|&c| c < frame.len()) {
+            let req = proto::decode_train_request(&frame[..cut]);
+            let resp = proto::decode_train_response(&frame[..cut]);
+            assert!(req.is_err() && resp.is_err(), "a {cut}-byte prefix decoded");
+        }
+    }
+}

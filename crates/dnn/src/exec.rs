@@ -11,11 +11,13 @@
 
 use crate::graph::{ModelGraph, NodeId};
 use crate::layer::{Activation, LayerKind};
+use nautilus_tensor::ops::matmul::gemm_threshold;
 use nautilus_tensor::ops::{
     add, add_assign, avg_pool2d_global, conv2d, conv2d_backward, gelu, gelu_backward,
-    layer_norm, layer_norm_backward, matmul, matmul_ta, matmul_tb, max_pool2d,
-    max_pool2d_backward, relu, relu_backward, scale, softmax_last, softmax_last_backward,
-    sum_rows, tanh_act, tanh_backward,
+    gelu_backward_from_tanh, gelu_from_tanh, gelu_with_tanh, layer_norm, layer_norm_backward,
+    matmul, matmul_into, matmul_ta, matmul_tb, max_pool2d, max_pool2d_backward, relu,
+    relu_backward, softmax_rows, softmax_rows_backward, sum_rows, tanh_act,
+    tanh_backward, with_batch_invariant_dispatch, MatRef,
 };
 use nautilus_tensor::{Shape, Tensor, TensorError};
 use nautilus_util::telemetry;
@@ -103,14 +105,15 @@ pub struct TransformerCache {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    /// `[batch * heads]` attention probability matrices, each `[S, S]`.
-    attn: Vec<Tensor>,
+    /// Attention probabilities, `[B, heads, S, S]`.
+    attn: Tensor,
     ctx: Tensor,
     ln1_xhat: Tensor,
     ln1_inv_std: Vec<f32>,
     h1: Tensor,
     ff_pre: Tensor,
-    ff_act: Tensor,
+    /// GELU tanh term of `ff_pre`; backward rebuilds the activation from it.
+    ff_tanh: Tensor,
     ln2_xhat: Tensor,
     ln2_inv_std: Vec<f32>,
 }
@@ -147,13 +150,13 @@ impl Cache {
                     + t(&tc.q)
                     + t(&tc.k)
                     + t(&tc.v)
-                    + tc.attn.iter().map(&t).sum::<usize>()
+                    + t(&tc.attn)
                     + t(&tc.ctx)
                     + t(&tc.ln1_xhat)
                     + tc.ln1_inv_std.len() * 4
                     + t(&tc.h1)
                     + t(&tc.ff_pre)
-                    + t(&tc.ff_act)
+                    + t(&tc.ff_tanh)
                     + t(&tc.ln2_xhat)
                     + tc.ln2_inv_std.len() * 4
             }
@@ -268,7 +271,7 @@ pub fn forward_with_overrides(
 /// choice a function of one record's shape only, so each record's rows in
 /// the stacked output are bit-identical to running that record alone
 /// (`forward` with a batch of 1). All graph ops are record-separable
-/// (dense/conv rows, per-record attention fan-out, per-row norms), so no
+/// (dense/conv rows, per-record attention, per-row norms), so no
 /// other batch-size dependence exists.
 pub fn forward_batch(
     graph: &ModelGraph,
@@ -726,28 +729,40 @@ pub(crate) fn run_forward(
     }
 }
 
-/// Extracts head `h` of record `b` from `[B, S, D]` as `[S, dh]`.
-fn slice_head(x: &Tensor, b: usize, s: usize, d: usize, h: usize, dh: usize) -> Tensor {
-    let mut out = vec![0.0f32; s * dh];
-    let base = b * s * d + h * dh;
-    for si in 0..s {
-        out[si * dh..(si + 1) * dh]
-            .copy_from_slice(&x.data()[base + si * d..base + si * d + dh]);
-    }
-    Tensor::from_vec([s, dh], out).expect("head slice shape")
+/// Head `h`'s `[S, dh]` column range of one record's `[S, D]` rows.
+fn head_view(x: &[f32], d: usize, h: usize, dh: usize) -> MatRef<'_> {
+    MatRef { data: &x[h * dh..], rs: d, cs: 1 }
 }
 
-/// Adds `[S, dh]` into head `h` of record `b` of `[B, S, D]`.
-fn add_head(dst: &mut Tensor, src: &Tensor, b: usize, s: usize, d: usize, h: usize, dh: usize) {
-    let base = b * s * d + h * dh;
-    let dd = dst.data_mut();
-    for si in 0..s {
-        let drow = &mut dd[base + si * d..base + si * d + dh];
-        let srow = &src.data()[si * dh..(si + 1) * dh];
-        for (o, &v) in drow.iter_mut().zip(srow) {
-            *o += v;
-        }
+/// The transpose `[dh, S]` of [`head_view`].
+fn head_view_t(x: &[f32], d: usize, h: usize, dh: usize) -> MatRef<'_> {
+    MatRef { data: &x[h * dh..], rs: 1, cs: d }
+}
+
+/// Runs `f(record, item)` for every record's disjoint output slices, with
+/// kernel dispatch pinned to per-record work (each item spans one record,
+/// so its dispatch-site estimates already are, even inside a batched
+/// `forward_batch` scope).
+///
+/// Records fan out over the pool only when one record's attention work
+/// (`2·S²·D` multiply-adds of scores and context) reaches
+/// [`gemm_threshold`]; below it a pool task costs more than the record, so
+/// they run inline. Records are independent, so both paths give the same
+/// bits.
+fn for_each_record<T: Send>(items: Vec<T>, s: usize, dim: usize, f: impl Fn(usize, T) + Sync) {
+    let run = |bi: usize, item: T| with_batch_invariant_dispatch(1, || f(bi, item));
+    if 2 * s * s * dim < gemm_threshold() {
+        items.into_iter().enumerate().for_each(|(bi, item)| run(bi, item));
+        return;
     }
+    let run = &run;
+    pool::join_all(
+        items
+            .into_iter()
+            .enumerate()
+            .map(|(bi, item)| Box::new(move || run(bi, item)) as Box<dyn FnOnce() + Send + '_>)
+            .collect(),
+    );
 }
 
 fn transformer_forward(
@@ -773,56 +788,39 @@ fn transformer_forward(
     let mut v = matmul(x, wv)?;
     add_assign(&mut v, bv)?;
 
-    // Attention cores are independent per record; fan records out over the
-    // pool. Each record's ctx block and attention matrices come back in
-    // record order, so assembly (and results) are identical to the
-    // sequential loop at any thread count. Each task's tensors span one
-    // record, so its dispatch-site work estimates are already per-record:
-    // pin the divisor to 1 so the kernel choice matches this record served
-    // alone even when the enclosing `forward_batch` scope installed a
-    // batch divisor.
-    let record_attn = |bi: usize| -> Result<(Tensor, Vec<Tensor>), TensorError> {
-        nautilus_tensor::ops::with_batch_invariant_dispatch(1, || {
-            let mut ctx_rec = Tensor::zeros([1, s, dim]);
-            let mut attn_rec = Vec::with_capacity(if keep_cache { heads } else { 0 });
-            for h in 0..heads {
-                let qh = slice_head(&q, bi, s, dim, h, dh);
-                let kh = slice_head(&k, bi, s, dim, h, dh);
-                let vh = slice_head(&v, bi, s, dim, h, dh);
-                let scores = scale(&matmul_tb(&qh, &kh)?, scale_f);
-                let attn = softmax_last(&scores);
-                let ctx_h = matmul(&attn, &vh)?;
-                add_head(&mut ctx_rec, &ctx_h, 0, s, dim, h, dh);
-                if keep_cache {
-                    attn_rec.push(attn);
-                }
-            }
-            Ok((ctx_rec, attn_rec))
-        })
-    };
-    let per_record: Vec<Result<(Tensor, Vec<Tensor>), TensorError>> = pool::join_all(
-        (0..b)
-            .map(|bi| {
-                let f = &record_attn;
-                Box::new(move || f(bi))
-                    as Box<dyn FnOnce() -> Result<(Tensor, Vec<Tensor>), TensorError> + Send + '_>
-            })
-            .collect(),
-    );
+    // Attention cores, per record and head, on strided head views of q/k/v:
+    // each head's probabilities land in `attn` (kept only for training) and
+    // its context directly in its column range of `ctx`.
     let mut ctx = Tensor::zeros(x.shape().clone());
-    let mut attn_mats = Vec::with_capacity(if keep_cache { b * heads } else { 0 });
-    for (bi, result) in per_record.into_iter().enumerate() {
-        let (ctx_rec, attn_rec) = result?;
-        ctx.data_mut()[bi * s * dim..(bi + 1) * s * dim].copy_from_slice(ctx_rec.data());
-        attn_mats.extend(attn_rec);
-    }
+    let mut attn = Tensor::zeros([b, heads, s, s]);
+    let rec = s * dim;
+    let items: Vec<_> = ctx
+        .data_mut()
+        .chunks_mut(rec.max(1))
+        .zip(attn.data_mut().chunks_mut((heads * s * s).max(1)))
+        .collect();
+    let (qd, kd, vd) = (q.data(), k.data(), v.data());
+    for_each_record(items, s, dim, |bi, (ctx_rec, probs_rec)| {
+        let r = bi * rec..(bi + 1) * rec;
+        let (qr, kr, vr) = (&qd[r.clone()], &kd[r.clone()], &vd[r]);
+        for (h, probs) in probs_rec.chunks_exact_mut(s * s).enumerate() {
+            let (qh, kt) = (head_view(qr, dim, h, dh), head_view_t(kr, dim, h, dh));
+            matmul_into(s, dh, s, qh, kt, probs, s);
+            for x in probs.iter_mut() {
+                *x *= scale_f;
+            }
+            softmax_rows(probs, s);
+            let (pv, vh) = (MatRef::row_major(probs, s), head_view(vr, dim, h, dh));
+            matmul_into(s, s, dh, pv, vh, &mut ctx_rec[h * dh..], dim);
+        }
+    });
     let mut ao = matmul(&ctx, wo)?;
     add_assign(&mut ao, bo)?;
     let res1 = add(x, &ao)?;
     let (h1, ln1_xhat, ln1_inv_std) = layer_norm(&res1, ln1g, ln1b, 1e-5)?;
     let mut ff_pre = matmul(&h1, w1)?;
     add_assign(&mut ff_pre, b1)?;
-    let ff_act = gelu(&ff_pre);
+    let (ff_act, ff_tanh) = gelu_with_tanh(&ff_pre);
     let mut ff = matmul(&ff_act, w2)?;
     add_assign(&mut ff, b2)?;
     let res2 = add(&h1, &ff)?;
@@ -834,13 +832,13 @@ fn transformer_forward(
             q,
             k,
             v,
-            attn: attn_mats,
+            attn,
             ctx,
             ln1_xhat,
             ln1_inv_std,
             h1,
             ff_pre,
-            ff_act,
+            ff_tanh,
             ln2_xhat,
             ln2_inv_std,
         }))
@@ -860,7 +858,7 @@ fn transformer_backward(
     trainable: bool,
     need_input_grad: bool,
 ) -> Result<BackwardOut, TensorError> {
-    let (b, s) = (tc.x.shape().dim(0), tc.x.shape().dim(1));
+    let s = tc.x.shape().dim(1);
     let dh = dim / heads;
     let scale_f = 1.0 / (dh as f32).sqrt();
     let (wq, wk, wv, wo) = (&p[0], &p[2], &p[4], &p[6]);
@@ -870,10 +868,11 @@ fn transformer_backward(
     let (dres2, dg2, db2ln) = layer_norm_backward(&tc.ln2_xhat, &tc.ln2_inv_std, ln2g, dout)?;
     // Feed-forward branch.
     let dff = &dres2;
-    let dw2 = matmul_ta(&tc.ff_act, dff)?;
+    let ff_act = gelu_from_tanh(&tc.ff_pre, &tc.ff_tanh)?;
+    let dw2 = matmul_ta(&ff_act, dff)?;
     let db2 = sum_rows(dff)?;
     let dff_act = matmul_tb_weight(dff, w2)?;
-    let dff_pre = gelu_backward(&tc.ff_pre, &dff_act)?;
+    let dff_pre = gelu_backward_from_tanh(&tc.ff_pre, &tc.ff_tanh, &dff_act)?;
     let dw1 = matmul_ta(&tc.h1, &dff_pre)?;
     let db1 = sum_rows(&dff_pre)?;
     let mut dh1 = dres2.clone(); // residual path
@@ -885,55 +884,46 @@ fn transformer_backward(
     let dwo = matmul_ta(&tc.ctx, dao)?;
     let dbo = sum_rows(dao)?;
     let dctx = matmul_tb_weight(dao, wo)?;
-    // Attention cores, per record and head.
-    // Per-record attention gradients fan out over the pool; each record's
-    // dq/dk/dv blocks are assembled back in record order, bit-identical to
-    // the sequential loop. As in the forward pass, each task spans one
-    // record, so its dispatch estimates are already per-record — pin the
-    // divisor to 1 regardless of any scope on the spawning thread.
-    type RecGrads = (Tensor, Tensor, Tensor);
-    let record_grads = |bi: usize| -> Result<RecGrads, TensorError> {
-        nautilus_tensor::ops::with_batch_invariant_dispatch(1, || {
-            let mut dq_rec = Tensor::zeros([1, s, dim]);
-            let mut dk_rec = Tensor::zeros([1, s, dim]);
-            let mut dv_rec = Tensor::zeros([1, s, dim]);
-            for h in 0..heads {
-                let attn = &tc.attn[bi * heads + h];
-                let dctx_h = slice_head(&dctx, bi, s, dim, h, dh);
-                let qh = slice_head(&tc.q, bi, s, dim, h, dh);
-                let kh = slice_head(&tc.k, bi, s, dim, h, dh);
-                let vh = slice_head(&tc.v, bi, s, dim, h, dh);
-                let dattn = matmul_tb(&dctx_h, &vh)?;
-                let dvh = matmul_ta(attn, &dctx_h)?;
-                let dscores = softmax_last_backward(attn, &dattn)?;
-                let dqh = scale(&matmul(&dscores, &kh)?, scale_f);
-                let dkh = scale(&matmul_ta(&dscores, &qh)?, scale_f);
-                add_head(&mut dq_rec, &dqh, 0, s, dim, h, dh);
-                add_head(&mut dk_rec, &dkh, 0, s, dim, h, dh);
-                add_head(&mut dv_rec, &dvh, 0, s, dim, h, dh);
-            }
-            Ok((dq_rec, dk_rec, dv_rec))
-        })
-    };
-    let per_record: Vec<Result<RecGrads, TensorError>> = pool::join_all(
-        (0..b)
-            .map(|bi| {
-                let f = &record_grads;
-                Box::new(move || f(bi))
-                    as Box<dyn FnOnce() -> Result<RecGrads, TensorError> + Send + '_>
-            })
-            .collect(),
-    );
+    // Attention cores, per record and head, on strided head views: dv
+    // accumulates in place; dq and dk go through one `[S, dh]` scratch so
+    // the `1/√dh` scale applies to the finished product.
     let mut dq = Tensor::zeros(tc.q.shape().clone());
     let mut dk = Tensor::zeros(tc.k.shape().clone());
     let mut dv = Tensor::zeros(tc.v.shape().clone());
-    for (bi, result) in per_record.into_iter().enumerate() {
-        let (dq_rec, dk_rec, dv_rec) = result?;
-        let range = bi * s * dim..(bi + 1) * s * dim;
-        dq.data_mut()[range.clone()].copy_from_slice(dq_rec.data());
-        dk.data_mut()[range.clone()].copy_from_slice(dk_rec.data());
-        dv.data_mut()[range].copy_from_slice(dv_rec.data());
-    }
+    let rec = s * dim;
+    let items: Vec<_> = dq
+        .data_mut()
+        .chunks_mut(rec.max(1))
+        .zip(dk.data_mut().chunks_mut(rec.max(1)))
+        .zip(dv.data_mut().chunks_mut(rec.max(1)))
+        .zip(tc.attn.data().chunks((heads * s * s).max(1)))
+        .collect();
+    let (qd, kd, vd, dctx_d) = (tc.q.data(), tc.k.data(), tc.v.data(), dctx.data());
+    for_each_record(items, s, dim, |bi, (((dq_rec, dk_rec), dv_rec), probs_rec)| {
+        let r = bi * rec..(bi + 1) * rec;
+        let (qr, kr, vr, dcr) = (&qd[r.clone()], &kd[r.clone()], &vd[r.clone()], &dctx_d[r]);
+        let mut dscores = vec![0.0f32; s * s];
+        let mut tmp = vec![0.0f32; s * dh];
+        for (h, probs) in probs_rec.chunks_exact(s * s).enumerate() {
+            let dctx_h = head_view(dcr, dim, h, dh);
+            dscores.fill(0.0);
+            matmul_into(s, dh, s, dctx_h, head_view_t(vr, dim, h, dh), &mut dscores, s);
+            let probs_t = MatRef::transposed(probs, s);
+            matmul_into(s, s, dh, probs_t, dctx_h, &mut dv_rec[h * dh..], dim);
+            softmax_rows_backward(probs, &mut dscores, s);
+            let ds = MatRef::row_major(&dscores, s);
+            let ds_t = MatRef::transposed(&dscores, s);
+            for (dst, lhs, rhs) in [(&mut *dq_rec, ds, kr), (&mut *dk_rec, ds_t, qr)] {
+                tmp.fill(0.0);
+                matmul_into(s, s, dh, lhs, head_view(rhs, dim, h, dh), &mut tmp, dh);
+                for (drow, trow) in dst[h * dh..].chunks_mut(dim).zip(tmp.chunks_exact(dh)) {
+                    for (d, &t) in drow.iter_mut().zip(trow) {
+                        *d += t * scale_f;
+                    }
+                }
+            }
+        }
+    });
     // Input projections.
     let param_grads = if trainable {
         vec![
@@ -1859,9 +1849,47 @@ mod tests {
         }
     }
 
-    /// The transformer fans per-record attention tasks out over the shared
-    /// pool, so `forward_batch` bit-identity must hold even though those
-    /// tasks execute on different threads than the one holding the
+    /// A training forward of a transformer block retains exactly the
+    /// documented cache: the block input, q/k/v, `[B, heads, S, S]`
+    /// attention probabilities, context, both layer norms' `x̂` and
+    /// inverse std, `h1`, the FF pre-activation and its GELU tanh term
+    /// (which stands in for the activation, rebuilt in backward).
+    #[test]
+    fn transformer_cache_retains_tanh_in_place_of_ff_activation() {
+        let (b, s, dim, heads, ff) = (3usize, 5usize, 8usize, 2usize, 12usize);
+        let mut rng = seeded_rng(31);
+        let mut g = ModelGraph::new();
+        let inp = g.add_input("seq", [s, dim]);
+        let t = g
+            .add_layer(
+                "block",
+                LayerKind::TransformerBlock { dim, heads, ff_dim: ff },
+                &[inp],
+                false,
+                ParamInit::Seeded(&mut rng),
+            )
+            .unwrap();
+        g.add_output(t).unwrap();
+        let mut bi = BatchInputs::new();
+        bi.insert(inp, randn([b, s, dim], 1.0, &mut rng));
+        let fwd = forward(&g, &bi, true).unwrap();
+        let rows = b * s;
+        let cache_elems = rows * dim * 7 // x, q, k, v, ctx, ln1 x̂, h1
+            + b * heads * s * s // attention probabilities
+            + rows * ff * 2 // ff_pre, ff_tanh
+            + rows * dim // ln2 x̂
+            + rows * 2; // both inverse stds
+        let outputs = (rows * dim) * 2; // input placeholder + block output
+        assert_eq!(fwd.retained_activation_bytes(), (cache_elems + outputs) * 4);
+        let Cache::Transformer(tc) = &fwd.caches[t.index()] else { panic!("transformer cache") };
+        let ff_act = gelu_from_tanh(&tc.ff_pre, &tc.ff_tanh).unwrap();
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ff_act), bits(&gelu(&tc.ff_pre)), "rebuilt activation must match bitwise");
+    }
+
+    /// At this size the transformer fans per-record attention tasks out
+    /// over the shared pool, so `forward_batch` bit-identity must hold even
+    /// though those tasks execute on different threads than the one holding the
     /// batch-invariant dispatch scope. Sized so each record's attention
     /// context matmul straddles `GEMM_THRESHOLD` — per-record work at or
     /// above the threshold, work/batch below it — and so its shared dim

@@ -177,11 +177,6 @@ impl ModelGraph {
         init: ParamInit<'_>,
     ) -> Result<NodeId, GraphError> {
         let name = name.into();
-        for &i in inputs {
-            if i.index() >= self.nodes.len() {
-                return Err(GraphError::BadInput { node: name, input: i.index() });
-            }
-        }
         let expected = kind.num_params();
         let (params, param_shapes, param_sig) = match init {
             ParamInit::Seeded(mut rng) => {
@@ -217,7 +212,12 @@ impl ModelGraph {
         self.push_node(Node { name, kind, inputs: inputs.to_vec(), frozen, params, param_shapes, param_sig })
     }
 
+    /// Appends a node after checking that every input already exists (so
+    /// a decoded checkpoint naming a missing or later node is an error).
     pub(crate) fn push_node(&mut self, node: Node) -> Result<NodeId, GraphError> {
+        if let Some(bad) = node.inputs.iter().find(|i| i.index() >= self.nodes.len()) {
+            return Err(GraphError::BadInput { node: node.name, input: bad.index() });
+        }
         let input_shapes: Vec<Shape> =
             node.inputs.iter().map(|i| self.shapes[i.index()].clone()).collect();
         let out = node.kind.output_shape(&input_shapes)?;

@@ -632,7 +632,7 @@ impl LayerKind {
                     s * d, // residual 1 (pre-LN)
                     s * d, // h1 (post-LN)
                     s * ff_dim, // ff pre-activation
-                    s * ff_dim, // ff activation
+                    s * ff_dim, // ff GELU tanh term (backward rebuilds the activation)
                     s * d, // ff output
                     s * d, // residual 2 (pre-LN)
                     out,   // block output

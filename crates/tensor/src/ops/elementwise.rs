@@ -38,8 +38,10 @@ pub fn add(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
 pub fn add_assign(a: &mut Tensor, b: &Tensor) -> Result<(), TensorError> {
     let bn = suffix_broadcast_len(a, b)?;
     let bd = b.data();
-    for (i, x) in a.data_mut().iter_mut().enumerate() {
-        *x += bd[i % bn];
+    for row in a.data_mut().chunks_exact_mut(bn) {
+        for (x, &y) in row.iter_mut().zip(bd) {
+            *x += y;
+        }
     }
     Ok(())
 }
@@ -49,8 +51,10 @@ pub fn sub(a: &Tensor, b: &Tensor) -> Result<Tensor, TensorError> {
     let bn = suffix_broadcast_len(a, b)?;
     let bd = b.data();
     let mut out = a.clone();
-    for (i, x) in out.data_mut().iter_mut().enumerate() {
-        *x -= bd[i % bn];
+    for row in out.data_mut().chunks_exact_mut(bn) {
+        for (x, &y) in row.iter_mut().zip(bd) {
+            *x -= y;
+        }
     }
     Ok(out)
 }

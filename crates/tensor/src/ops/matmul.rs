@@ -15,12 +15,17 @@
 //!   into the packing step, so all four [`MatmulSpec`] combinations take
 //!   the same fast path. Large products fan out over the shared
 //!   [`nautilus_util::pool`] with bit-identical results at any thread
-//!   width; rounding may differ from the naive kernels (each output
+//!   width; rounding may differ from the small-shape kernel (each output
 //!   element still sums `k` ascending, but in KC-sized register-resident
 //!   partials).
-//! * **Naive sequential loops** below the threshold, where packing
-//!   overhead would dominate: `i-k-j` saxpy for the plain case and
-//!   specialized loops for the transposed cases.
+//! * **One small-shape kernel** below the threshold, where blocking would
+//!   not amortize: an `i-p-j` saxpy over the same strided views, with a
+//!   transposed `B` packed into contiguous rows first and each output row
+//!   accumulated in register-resident column strips. It serves all four
+//!   transpose combinations and writes into strided output rows, so
+//!   [`matmul_into`] lets attention multiply per-head column ranges in
+//!   place. Its summation order and zero-skip rule are part of the
+//!   determinism contract (DESIGN.md "Determinism policy").
 //!
 //! Output buffers come from the thread-local [`nautilus_util::scratch`]
 //! arena, so the training loop's matmuls stop hitting the allocator once
@@ -28,13 +33,13 @@
 
 use crate::ops::dispatch::effective_work;
 use crate::ops::gemm::{self, MatRef};
-use crate::{Tensor, TensorError};
+use crate::{Shape, Tensor, TensorError};
 use nautilus_util::{scratch, telemetry};
 
 /// Multiply-add count at and above which [`matmul_ex`] lowers to the
 /// blocked packed GEMM engine *when running the safe kernel*; below it the
-/// naive loops win because the packing traffic is not amortized. The live
-/// crossover is [`gemm_threshold`], which consults the resolved kernel —
+/// small-shape kernel wins because the packing traffic is not amortized.
+/// The live crossover is [`gemm_threshold`], which consults the resolved kernel —
 /// the FMA microkernel amortizes packing one octave sooner. This constant
 /// is kept as the documented safe-kernel value (and for callers sizing
 /// test workloads against the safe default).
@@ -49,8 +54,9 @@ pub fn gemm_threshold() -> usize {
 }
 
 /// Counts one kernel-dispatch decision in the labeled `gemm.kernel{path=}`
-/// family (`path` ∈ `naive` | `safe` | `fma` | `int8`), so `/metrics`
-/// shows which kernel actually served traffic.
+/// family (`path` ∈ `naive` | `safe` | `fma` | `int8`; `naive` is the
+/// small-shape kernel), so `/metrics` shows which kernel actually served
+/// traffic.
 pub fn count_dispatch(path: &str) {
     if telemetry::metrics_enabled() {
         telemetry::counter_with("gemm.kernel", &[("path", path)]).add(1);
@@ -83,49 +89,130 @@ impl MatmulSpec {
     }
 }
 
-fn matmul_rows(ad: &[f32], bd: &[f32], out: &mut [f32], k: usize, n: usize) {
-    for (arow, orow) in ad.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &bd[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
+/// The small-shape kernel behind every dispatch below the GEMM threshold:
+/// `out[i·out_rs + j] += Σ_p op(A)[i,p] · op(B)[p,j]`, as an i-p-j saxpy.
+///
+/// * Each output sums its `k` products in ascending `p`, onto the value
+///   already in `out`, with one rounding per multiply and per add (no FMA
+///   contraction). For a zeroed `out` these are exactly the bits of the
+///   dot-product (`Bᵀ`) and transpose-back (`Aᵀ·Bᵀ`) loops this kernel
+///   replaced.
+/// * A zero `op(A)[i,p]` is skipped, in every transpose combination. With
+///   finite operands the skip cannot move a bit: an accumulator that starts
+///   at `+0.0` never becomes `-0.0`, so adding `±0.0` leaves it unchanged.
+///   Against an `inf`/`NaN` in `op(B)` the skipped term contributes nothing
+///   instead of `NaN`.
+/// * A `B` whose rows are strided (`cs != 1`, i.e. a transposed operand) is
+///   packed into contiguous rows from the scratch arena first, so the inner
+///   loop is always a unit-stride saxpy.
+fn small_gemm(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: MatRef,
+    b: MatRef,
+    out: &mut [f32],
+    out_rs: usize,
+) {
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let packed;
+    let (bd, b_rs) = if b.cs == 1 {
+        (b.data, b.rs)
+    } else {
+        let mut rows = scratch::take(k * n);
+        for (p, row) in rows.chunks_exact_mut(n).enumerate() {
+            for (j, x) in row.iter_mut().enumerate() {
+                *x = b.data[p * b.rs + j * b.cs];
             }
         }
-    }
-}
-
-/// `C[k,n] = Aᵀ · B` where `a` is stored `(m, k)`: scans input rows `i`
-/// once, scattering into every output row.
-fn matmul_ta_rows(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        packed = rows;
+        (&packed[..], n)
+    };
     for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        let brow = &bd[i * n..(i + 1) * n];
-        for (p, orow) in out.chunks_exact_mut(n).enumerate() {
-            let av = arow[p];
+        let orow = &mut out[i * out_rs..i * out_rs + n];
+        let arow = |p: usize| a.data[i * a.rs + p * a.cs];
+        // Columns go in strips of 32, then 8, then 1: each strip's outputs
+        // accumulate in a fixed-size local that the compiler keeps in
+        // vector registers across the whole `p` loop. Every element still
+        // sums its products in ascending `p` onto its value in `out`.
+        let j = saxpy_strips::<32>(orow, 0, k, &arow, bd, b_rs);
+        let j = saxpy_strips::<8>(orow, j, k, &arow, bd, b_rs);
+        saxpy_strips::<1>(orow, j, k, &arow, bd, b_rs);
+    }
+}
+
+/// Accumulates `orow[j..]` in strips of `W` columns while a whole strip
+/// fits; returns the first column left over.
+fn saxpy_strips<const W: usize>(
+    orow: &mut [f32],
+    mut j: usize,
+    k: usize,
+    arow: &impl Fn(usize) -> f32,
+    bd: &[f32],
+    b_rs: usize,
+) -> usize {
+    while j + W <= orow.len() {
+        let ostrip = &mut orow[j..j + W];
+        let mut acc: [f32; W] = (&*ostrip).try_into().expect("strip width");
+        for p in 0..k {
+            let av = arow(p);
             if av == 0.0 {
                 continue;
             }
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+            let b0 = p * b_rs + j;
+            let bstrip: &[f32; W] = bd[b0..b0 + W].try_into().expect("strip width");
+            for (o, &bv) in acc.iter_mut().zip(bstrip) {
                 *o += av * bv;
             }
+        }
+        ostrip.copy_from_slice(&acc);
+        j += W;
+    }
+    j
+}
+
+/// `out += op(A) · op(B)` over strided views, with the dispatch of
+/// [`matmul_ex`]: products of at least [`gemm_threshold`] effective
+/// multiply-adds run on the blocked GEMM, smaller ones on the small-shape
+/// kernel, and each call counts one `gemm.kernel{path}` decision.
+///
+/// `a` reads as `(m, k)`, `b` as `(k, n)`; output row `i` is
+/// `out[i·out_rs .. i·out_rs + n]`. Callers that own their operand layout
+/// (attention over per-head column ranges) use this to multiply without
+/// copying operands out or results back.
+pub fn matmul_into(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: MatRef,
+    b: MatRef,
+    out: &mut [f32],
+    out_rs: usize,
+) {
+    let kernel = gemm::resolved_kernel();
+    if effective_work(m * k * n) < gemm::dispatch_threshold(kernel) {
+        count_dispatch("naive");
+        small_gemm(m, k, n, a, b, out, out_rs);
+        return;
+    }
+    count_dispatch(kernel.as_str());
+    if out_rs == n {
+        gemm::gemm_with(kernel, m, k, n, a, b, &mut out[..m * n]);
+        return;
+    }
+    let mut tmp = scratch::take(m * n);
+    gemm::gemm_with(kernel, m, k, n, a, b, &mut tmp);
+    for (orow, trow) in out.chunks_mut(out_rs).zip(tmp.chunks_exact(n)) {
+        for (o, &t) in orow.iter_mut().zip(trow) {
+            *o += t;
         }
     }
 }
 
-fn matmul_tb_rows(ad: &[f32], bd: &[f32], out: &mut [f32], n: usize, k: usize) {
-    for (arow, orow) in ad.chunks_exact(n).zip(out.chunks_exact_mut(k)) {
-        for (p, o) in orow.iter_mut().enumerate() {
-            let brow = &bd[p * n..(p + 1) * n];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                acc += av * bv;
-            }
-            *o = acc;
-        }
-    }
+fn dims_err(what: &str, x: usize, y: usize) -> TensorError {
+    TensorError::Incompatible(format!("{what}: {x} vs {y}"))
 }
 
 /// General matrix multiplication: `C = op(A) · op(B)` where `op` optionally
@@ -133,108 +220,44 @@ fn matmul_tb_rows(ad: &[f32], bd: &[f32], out: &mut [f32], n: usize, k: usize) {
 ///
 /// `a` is flattened as `(outer, last)` via [`Tensor::as_matrix`]. The
 /// result keeps `a`'s outer axes (plain / `transpose_b`) or is the 2-D
-/// `(k, n)` gradient shape (`transpose_a`). Products past
-/// [`GEMM_THRESHOLD`] run on the blocked packed GEMM engine (parallel when
-/// large, bit-identical at any thread width).
+/// `(k, n)` gradient shape (`transpose_a`). Transposes are strided
+/// [`MatRef`] views, never copies; [`matmul_into`] picks the kernel.
 pub fn matmul_ex(a: &Tensor, b: &Tensor, spec: MatmulSpec) -> Result<Tensor, TensorError> {
-    let kernel = gemm::resolved_kernel();
-    let threshold = gemm::dispatch_threshold(kernel);
-    match (spec.transpose_a, spec.transpose_b) {
+    let (am, ak, ad) = a.as_matrix();
+    let (bm, bn, bd) = b.as_matrix();
+    let (m, k, n, av, bv, shape) = match (spec.transpose_a, spec.transpose_b) {
         (false, false) => {
-            let (m, k, ad) = a.as_matrix();
-            let (bk, n, bd) = b.as_matrix();
-            if k != bk {
-                return Err(TensorError::Incompatible(format!(
-                    "matmul inner dims: {} vs {}",
-                    k, bk
-                )));
+            if ak != bm {
+                return Err(dims_err("matmul inner dims", ak, bm));
             }
-            let mut out = scratch::take_vec(m * n);
-            if effective_work(m * k * n) >= threshold {
-                count_dispatch(kernel.as_str());
-                gemm::gemm_with(kernel, m, k, n, MatRef::row_major(ad, k), MatRef::row_major(bd, n), &mut out);
-            } else {
-                count_dispatch("naive");
-                matmul_rows(ad, bd, &mut out, k, n);
-            }
-            Tensor::from_vec(a.shape().with_last_dim(n), out)
+            let shape = a.shape().with_last_dim(bn);
+            (am, ak, bn, MatRef::row_major(ad, ak), MatRef::row_major(bd, bn), shape)
         }
         (true, false) => {
-            let (m, k, ad) = a.as_matrix();
-            let (bm, n, bd) = b.as_matrix();
-            if m != bm {
-                return Err(TensorError::Incompatible(format!(
-                    "matmul_ta outer dims: {} vs {}",
-                    m, bm
-                )));
+            if am != bm {
+                return Err(dims_err("matmul_ta outer dims", am, bm));
             }
-            let mut out = scratch::take_vec(k * n);
-            if effective_work(m * k * n) >= threshold {
-                count_dispatch(kernel.as_str());
-                // Effective A' = aᵀ: (k, m) view over the (m, k) buffer.
-                gemm::gemm_with(kernel, k, m, n, MatRef::transposed(ad, k), MatRef::row_major(bd, n), &mut out);
-            } else {
-                count_dispatch("naive");
-                matmul_ta_rows(ad, bd, &mut out, m, k, n);
-            }
-            Tensor::from_vec([k, n], out)
+            let shape = Shape::new(vec![ak, bn]);
+            (ak, am, bn, MatRef::transposed(ad, ak), MatRef::row_major(bd, bn), shape)
         }
         (false, true) => {
-            let (m, n, ad) = a.as_matrix();
-            let (k, bn, bd) = b.as_matrix();
-            if n != bn {
-                return Err(TensorError::Incompatible(format!(
-                    "matmul_tb inner dims: {} vs {}",
-                    n, bn
-                )));
+            if ak != bn {
+                return Err(dims_err("matmul_tb inner dims", ak, bn));
             }
-            let mut out = scratch::take_vec(m * k);
-            if effective_work(m * k * n) >= threshold {
-                count_dispatch(kernel.as_str());
-                // Effective B' = bᵀ: (n, k) buffer read as (n → k, cols).
-                gemm::gemm_with(kernel, m, n, k, MatRef::row_major(ad, n), MatRef::transposed(bd, n), &mut out);
-            } else {
-                count_dispatch("naive");
-                matmul_tb_rows(ad, bd, &mut out, n, k);
-            }
-            Tensor::from_vec(a.shape().with_last_dim(k), out)
+            let shape = a.shape().with_last_dim(bm);
+            (am, ak, bm, MatRef::row_major(ad, ak), MatRef::transposed(bd, bn), shape)
         }
         (true, true) => {
-            let (am, ak, ad) = a.as_matrix();
-            let (bm, bn, bd) = b.as_matrix();
             if am != bn {
-                return Err(TensorError::Incompatible(format!(
-                    "matmul aᵀ·bᵀ dims: {} vs {}",
-                    am, bn
-                )));
+                return Err(dims_err("matmul aᵀ·bᵀ dims", am, bn));
             }
-            let (m, k, n) = (ak, am, bm);
-            let mut out = scratch::take_vec(m * n);
-            if effective_work(m * k * n) >= threshold {
-                count_dispatch(kernel.as_str());
-                gemm::gemm_with(
-                    kernel,
-                    m,
-                    k,
-                    n,
-                    MatRef::transposed(ad, ak),
-                    MatRef::transposed(bd, bn),
-                    &mut out,
-                );
-            } else {
-                count_dispatch("naive");
-                // Cᵀ = B · A: compute with the plain kernel, then transpose.
-                let mut c = vec![0.0f32; n * m];
-                matmul_rows(bd, ad, &mut c, bn, ak);
-                for r in 0..n {
-                    for cix in 0..m {
-                        out[cix * n + r] = c[r * m + cix];
-                    }
-                }
-            }
-            Tensor::from_vec([m, n], out)
+            let shape = Shape::new(vec![ak, bm]);
+            (ak, am, bm, MatRef::transposed(ad, ak), MatRef::transposed(bd, bn), shape)
         }
-    }
+    };
+    let mut out = scratch::take_vec(m * n);
+    matmul_into(m, k, n, av, bv, &mut out, n);
+    Tensor::from_vec(shape, out)
 }
 
 /// FLOPs performed by a [`matmul_ex`] call with these operands.

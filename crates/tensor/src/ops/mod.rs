@@ -21,10 +21,11 @@ pub use conv::{
 pub use dispatch::with_batch_invariant_dispatch;
 pub use elementwise::{add, add_assign, axpy, hadamard, scale, sub};
 pub use gemm::MatRef;
-pub use matmul::{matmul, matmul_ex, matmul_ex_flops, matmul_ta, matmul_tb, MatmulSpec};
+pub use matmul::{matmul, matmul_ex, matmul_ex_flops, matmul_into, matmul_ta, matmul_tb, MatmulSpec};
 pub use qgemm::{qgemm_dyn, quantize_rows, QuantizedMatrix};
 pub use nn::{
-    cross_entropy_logits, gelu, gelu_backward, layer_norm, layer_norm_backward, relu,
-    relu_backward, softmax_last, softmax_last_backward, tanh_act, tanh_backward,
+    cross_entropy_logits, gelu, gelu_backward, gelu_backward_from_tanh, gelu_from_tanh,
+    gelu_with_tanh, layer_norm, layer_norm_backward, relu, relu_backward, softmax_last,
+    softmax_last_backward, softmax_rows, softmax_rows_backward, tanh_act, tanh_backward,
 };
 pub use reduce::{argmax_last, mean_axis0, sum_axis0, sum_rows};

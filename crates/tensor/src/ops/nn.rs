@@ -26,19 +26,42 @@ pub fn relu_backward(input: &Tensor, grad: &Tensor) -> Result<Tensor, TensorErro
 
 /// GELU activation (tanh approximation, as used by BERT).
 pub fn gelu(a: &Tensor) -> Tensor {
-    a.map(gelu_scalar)
+    a.map(|x| gelu_of(x, gelu_tanh(x)))
 }
 
-fn gelu_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+/// [`gelu`] that also returns its tanh term `t = tanh(√(2/π)(x + 0.044715x³))`.
+/// A caller that keeps `t` can rebuild the activation with
+/// [`gelu_from_tanh`] and take the gradient with [`gelu_backward_from_tanh`],
+/// bit-identically and without a second `tanh` per element.
+pub fn gelu_with_tanh(a: &Tensor) -> (Tensor, Tensor) {
+    let t = a.map(gelu_tanh);
+    let out = gelu_from_tanh(a, &t).expect("tanh term has the input's shape");
+    (out, t)
 }
 
-fn gelu_grad_scalar(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let u = C * (x + 0.044_715 * x * x * x);
-    let t = u.tanh();
-    let du = C * (1.0 + 3.0 * 0.044_715 * x * x);
+/// The [`gelu`] of `input` rebuilt from its cached tanh term (see
+/// [`gelu_with_tanh`]); bit-identical to `gelu(input)`.
+pub fn gelu_from_tanh(input: &Tensor, tanh: &Tensor) -> Result<Tensor, TensorError> {
+    input.shape().expect_eq(tanh.shape())?;
+    let mut out = input.clone();
+    for (o, &t) in out.data_mut().iter_mut().zip(tanh.data()) {
+        *o = gelu_of(*o, t);
+    }
+    Ok(out)
+}
+
+const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
+
+fn gelu_tanh(x: f32) -> f32 {
+    (GELU_C * (x + 0.044_715 * x * x * x)).tanh()
+}
+
+fn gelu_of(x: f32, t: f32) -> f32 {
+    0.5 * x * (1.0 + t)
+}
+
+fn gelu_grad_of(x: f32, t: f32) -> f32 {
+    let du = GELU_C * (1.0 + 3.0 * 0.044_715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
 
@@ -47,7 +70,22 @@ pub fn gelu_backward(input: &Tensor, grad: &Tensor) -> Result<Tensor, TensorErro
     input.shape().expect_eq(grad.shape())?;
     let mut out = grad.clone();
     for (g, &x) in out.data_mut().iter_mut().zip(input.data()) {
-        *g *= gelu_grad_scalar(x);
+        *g *= gelu_grad_of(x, gelu_tanh(x));
+    }
+    Ok(out)
+}
+
+/// [`gelu_backward`] given the tanh term cached by [`gelu_with_tanh`].
+pub fn gelu_backward_from_tanh(
+    input: &Tensor,
+    tanh: &Tensor,
+    grad: &Tensor,
+) -> Result<Tensor, TensorError> {
+    input.shape().expect_eq(grad.shape())?;
+    input.shape().expect_eq(tanh.shape())?;
+    let mut out = grad.clone();
+    for ((g, &x), &t) in out.data_mut().iter_mut().zip(input.data()).zip(tanh.data()) {
+        *g *= gelu_grad_of(x, t);
     }
     Ok(out)
 }
@@ -69,42 +107,53 @@ pub fn tanh_backward(output: &Tensor, grad: &Tensor) -> Result<Tensor, TensorErr
 
 /// Numerically stable softmax over the innermost axis.
 pub fn softmax_last(a: &Tensor) -> Tensor {
-    let (rows, cols, data) = a.as_matrix();
-    let mut out = vec![0.0f32; rows * cols];
-    for r in 0..rows {
-        let row = &data[r * cols..(r + 1) * cols];
-        let orow = &mut out[r * cols..(r + 1) * cols];
+    let (_, cols, data) = a.as_matrix();
+    let mut out = data.to_vec();
+    softmax_rows(&mut out, cols);
+    Tensor::from_vec(a.shape().clone(), out).expect("softmax preserves shape")
+}
+
+/// [`softmax_last`] in place over consecutive rows of `cols` elements.
+pub fn softmax_rows(data: &mut [f32], cols: usize) {
+    if cols == 0 {
+        return;
+    }
+    for row in data.chunks_exact_mut(cols) {
         let max = row.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
         let mut sum = 0.0f32;
-        for (o, &x) in orow.iter_mut().zip(row) {
-            *o = (x - max).exp();
+        for o in row.iter_mut() {
+            *o = (*o - max).exp();
             sum += *o;
         }
         let inv = 1.0 / sum;
-        for o in orow.iter_mut() {
+        for o in row.iter_mut() {
             *o *= inv;
         }
     }
-    Tensor::from_vec(a.shape().clone(), out).expect("softmax preserves shape")
 }
 
 /// Gradient of [`softmax_last`] given the softmax *output* `y` and upstream
 /// gradient: `dx = y ⊙ (dy − ⟨dy, y⟩)` per row.
 pub fn softmax_last_backward(output: &Tensor, grad: &Tensor) -> Result<Tensor, TensorError> {
     output.shape().expect_eq(grad.shape())?;
-    let (rows, cols, y) = output.as_matrix();
-    let g = grad.data();
-    let mut out = vec![0.0f32; rows * cols];
-    for r in 0..rows {
-        let yr = &y[r * cols..(r + 1) * cols];
-        let gr = &g[r * cols..(r + 1) * cols];
-        let dot: f32 = yr.iter().zip(gr).map(|(&a, &b)| a * b).sum();
-        let orow = &mut out[r * cols..(r + 1) * cols];
-        for ((o, &yv), &gv) in orow.iter_mut().zip(yr).zip(gr) {
-            *o = yv * (gv - dot);
+    let (_, cols, y) = output.as_matrix();
+    let mut out = grad.data().to_vec();
+    softmax_rows_backward(y, &mut out, cols);
+    Tensor::from_vec(output.shape().clone(), out)
+}
+
+/// [`softmax_last_backward`] in place: `grad` (rows of `cols` elements)
+/// becomes the input gradient of the softmax whose output is `y`.
+pub fn softmax_rows_backward(y: &[f32], grad: &mut [f32], cols: usize) {
+    if cols == 0 {
+        return;
+    }
+    for (yr, gr) in y.chunks_exact(cols).zip(grad.chunks_exact_mut(cols)) {
+        let dot: f32 = yr.iter().zip(gr.iter()).map(|(&a, &b)| a * b).sum();
+        for (g, &yv) in gr.iter_mut().zip(yr) {
+            *g = yv * (*g - dot);
         }
     }
-    Tensor::from_vec(output.shape().clone(), out)
 }
 
 /// Layer normalization over the innermost axis with scale `gamma` and shift

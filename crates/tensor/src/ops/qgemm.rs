@@ -117,21 +117,29 @@ unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
     total
 }
 
-/// AVX2 row kernel: computes one input row's whole output strip,
-/// `orow[o] = sx · sw[o] · (qx · w[o])`, four output channels at a time
-/// so each 16-lane activation load is shared by four weight rows and the
-/// `madd` chains stay independent. One `target_feature` region spanning
-/// the full loop lets the dot bodies inline (the per-output
-/// [`dot_i8_avx2`] cannot inline into non-AVX2 callers and pays a call
-/// plus horizontal reduction per element). Same exact integers as the
-/// scalar path — only the schedule differs, and integer addition is
-/// associative.
+/// AVX2 row kernel: computes `R` input rows' whole output strips,
+/// `out[r][o] = sx[r] · sw[o] · (qx[r] · w[o])`, four output channels at
+/// a time. Each 16-lane weight load is shared by the `R` rows and each
+/// activation load by the four channels, so the weights stream from cache
+/// once per `R` rows; the `R × 4` `madd` chains stay independent. `qx`
+/// holds the `R` quantized rows back to back, `out` their `R` output rows.
+/// One `target_feature` region spanning the full loop lets the dot bodies
+/// inline (the per-output [`dot_i8_avx2`] cannot inline into non-AVX2
+/// callers and pays a call plus horizontal reduction per element). Same
+/// exact integers as the scalar path — only the schedule differs, and
+/// integer addition is associative.
 ///
 /// # Safety
 /// Caller must ensure the host supports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn qgemm_row_avx2(k: usize, qx: &[i8], w: &QuantizedMatrix, sx: f32, orow: &mut [f32]) {
+unsafe fn qgemm_rows_avx2<const R: usize>(
+    k: usize,
+    qx: &[i8],
+    w: &QuantizedMatrix,
+    sx: [f32; R],
+    out: &mut [f32],
+) {
     use std::arch::x86_64::*;
     #[inline(always)]
     unsafe fn hsum_i32(v: __m256i) -> i32 {
@@ -140,36 +148,48 @@ unsafe fn qgemm_row_avx2(k: usize, qx: &[i8], w: &QuantizedMatrix, sx: f32, orow
         let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b1011_0001));
         _mm_cvtsi128_si32(s)
     }
+    debug_assert_eq!(qx.len(), R * k);
     let nout = w.rows;
+    debug_assert_eq!(out.len(), R * nout);
     let wp = w.data.as_ptr();
     let xp = qx.as_ptr();
     let simd_k = k & !15;
     let mut o = 0;
     while o + 4 <= nout {
-        let mut acc = [_mm256_setzero_si256(); 4];
+        let mut acc = [[_mm256_setzero_si256(); 4]; R];
         let mut i = 0;
         while i < simd_k {
-            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(xp.add(i) as *const __m128i));
-            for (j, a) in acc.iter_mut().enumerate() {
-                let vw = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                    wp.add((o + j) * k + i) as *const __m128i,
-                ));
-                *a = _mm256_add_epi32(*a, _mm256_madd_epi16(va, vw));
+            let mut vw = [_mm256_setzero_si256(); 4];
+            for (j, v) in vw.iter_mut().enumerate() {
+                let wv = _mm_loadu_si128(wp.add((o + j) * k + i) as *const __m128i);
+                *v = _mm256_cvtepi8_epi16(wv);
+            }
+            for (r, racc) in acc.iter_mut().enumerate() {
+                let xv = _mm_loadu_si128(xp.add(r * k + i) as *const __m128i);
+                let va = _mm256_cvtepi8_epi16(xv);
+                for (a, &v) in racc.iter_mut().zip(&vw) {
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(va, v));
+                }
             }
             i += 16;
         }
-        for (j, a) in acc.iter().enumerate() {
-            let mut dot = hsum_i32(*a);
-            for i in simd_k..k {
-                dot += *xp.add(i) as i32 * *wp.add((o + j) * k + i) as i32;
+        for (r, racc) in acc.iter().enumerate() {
+            for (j, a) in racc.iter().enumerate() {
+                let mut dot = hsum_i32(*a);
+                for i in simd_k..k {
+                    dot += *xp.add(r * k + i) as i32 * *wp.add((o + j) * k + i) as i32;
+                }
+                let y = sx[r] * w.scales[o + j] * dot as f32;
+                *out.get_unchecked_mut(r * nout + o + j) = y;
             }
-            *orow.get_unchecked_mut(o + j) = sx * w.scales[o + j] * dot as f32;
         }
         o += 4;
     }
     while o < nout {
-        let dot = dot_i8_avx2(qx, &w.data[o * k..(o + 1) * k]);
-        *orow.get_unchecked_mut(o) = sx * w.scales[o] * dot as f32;
+        for r in 0..R {
+            let dot = dot_i8_avx2(&qx[r * k..(r + 1) * k], &w.data[o * k..(o + 1) * k]);
+            *out.get_unchecked_mut(r * nout + o) = sx[r] * w.scales[o] * dot as f32;
+        }
         o += 1;
     }
 }
@@ -211,9 +231,31 @@ pub fn qgemm_dyn(m: usize, k: usize, x: &[f32], w: &QuantizedMatrix, out: &mut [
     assert_eq!(out.len(), m * w.rows, "qgemm_dyn: output shape mismatch");
     let _sp = telemetry::span("tensor", "qgemm");
     let use_avx2 = avx2_supported();
-    let mut qx = vec![0i8; k];
-    for r in 0..m {
-        let sx = quantize_row(&x[r * k..(r + 1) * k], &mut qx);
+    let mut qx = vec![0i8; 2 * k];
+    let mut r = 0;
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2 {
+        // Row pairs share every weight load; a zero-scale row is then
+        // cleared exactly as the one-row path below clears it.
+        while r + 2 <= m {
+            let sx = [0, 1].map(|i| {
+                let row = r + i;
+                quantize_row(&x[row * k..(row + 1) * k], &mut qx[i * k..(i + 1) * k])
+            });
+            let orows = &mut out[r * w.rows..(r + 2) * w.rows];
+            // SAFETY: `use_avx2` is only true when `avx2_supported()` held.
+            unsafe { qgemm_rows_avx2::<2>(k, &qx, w, sx, orows) };
+            for (i, orow) in orows.chunks_exact_mut(w.rows.max(1)).enumerate() {
+                if sx[i] == 0.0 {
+                    orow.fill(0.0);
+                }
+            }
+            r += 2;
+        }
+    }
+    let qx = &mut qx[..k];
+    for r in r..m {
+        let sx = quantize_row(&x[r * k..(r + 1) * k], qx);
         let orow = &mut out[r * w.rows..(r + 1) * w.rows];
         if sx == 0.0 {
             orow.fill(0.0);
@@ -222,12 +264,12 @@ pub fn qgemm_dyn(m: usize, k: usize, x: &[f32], w: &QuantizedMatrix, out: &mut [
         #[cfg(target_arch = "x86_64")]
         if use_avx2 {
             // SAFETY: `use_avx2` is only true when `avx2_supported()` held.
-            unsafe { qgemm_row_avx2(k, &qx, w, sx, orow) };
+            unsafe { qgemm_rows_avx2::<1>(k, qx, w, [sx], orow) };
             continue;
         }
         for (o, orv) in orow.iter_mut().enumerate() {
             let wrow = &w.data[o * k..(o + 1) * k];
-            let dot = dot_i8(use_avx2, &qx, wrow);
+            let dot = dot_i8(use_avx2, qx, wrow);
             *orv = sx * w.scales[o] * dot as f32;
         }
     }

@@ -267,6 +267,179 @@ fn check_conv(c: &ConvCase) -> Result<(), String> {
     Ok(())
 }
 
+/// The four sub-threshold loops `matmul_ex` ran before the strided
+/// small-shape kernel replaced them, kept verbatim as the bitwise
+/// reference: plain and `Aᵀ` are saxpy loops that skip zero `A` entries,
+/// `Bᵀ` is a dot-product loop that skips nothing, and `Aᵀ·Bᵀ` runs the
+/// plain loop on `B·A` and transposes the result back.
+mod old_loops {
+    fn rows(ad: &[f32], bd: &[f32], out: &mut [f32], k: usize, n: usize) {
+        for (arow, orow) in ad.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            for (p, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let brow = &bd[p * n..(p + 1) * n];
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+
+    fn ta_rows(ad: &[f32], bd: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            let arow = &ad[i * k..(i + 1) * k];
+            let brow = &bd[i * n..(i + 1) * n];
+            for (p, orow) in out.chunks_exact_mut(n).enumerate() {
+                let av = arow[p];
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
+                    *o += av * bv;
+                }
+            }
+        }
+    }
+
+    fn tb_rows(ad: &[f32], bd: &[f32], out: &mut [f32], n: usize, k: usize) {
+        for (arow, orow) in ad.chunks_exact(n).zip(out.chunks_exact_mut(k)) {
+            for (p, o) in orow.iter_mut().enumerate() {
+                let brow = &bd[p * n..(p + 1) * n];
+                let mut acc = 0.0f32;
+                for (&av, &bv) in arow.iter().zip(brow.iter()) {
+                    acc += av * bv;
+                }
+                *o = acc;
+            }
+        }
+    }
+
+    /// `op(A)·op(B)` for `a` stored `(am, ak)` and `b` stored `(bm, bn)`.
+    pub fn matmul(
+        a: &[f32],
+        b: &[f32],
+        (am, ak): (usize, usize),
+        (bm, bn): (usize, usize),
+        ta: bool,
+        tb: bool,
+    ) -> Vec<f32> {
+        match (ta, tb) {
+            (false, false) => {
+                let mut out = vec![0.0; am * bn];
+                rows(a, b, &mut out, ak, bn);
+                out
+            }
+            (true, false) => {
+                let mut out = vec![0.0; ak * bn];
+                ta_rows(a, b, &mut out, am, ak, bn);
+                out
+            }
+            (false, true) => {
+                let mut out = vec![0.0; am * bm];
+                tb_rows(a, b, &mut out, ak, bm);
+                out
+            }
+            (true, true) => {
+                let (m, n) = (ak, bm);
+                let mut c = vec![0.0f32; n * m];
+                rows(b, a, &mut c, bn, ak);
+                let mut out = vec![0.0; m * n];
+                for r in 0..n {
+                    for cix in 0..m {
+                        out[cix * n + r] = c[r * m + cix];
+                    }
+                }
+                out
+            }
+        }
+    }
+}
+
+/// Operand entries for the bitwise check: mostly random, with exact
+/// `0.0` and `-0.0` (the zero-skip and sign-of-zero cases) and small
+/// magnitudes that cancel.
+fn entry(rng: &mut StdRng) -> f32 {
+    match rng.gen_range(0u32..8) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => rng.gen_range(-1e-3f32..1e-3),
+        _ => rng.gen_range(-2.0f32..2.0),
+    }
+}
+
+/// The small-shape kernel against the old loops, bit for bit: through
+/// `matmul_ex` for every transpose combination, and through
+/// `matmul_into` into a strided, partly pre-filled output (each output
+/// row is `n` of `n + pad` elements; the pad must stay untouched and the
+/// row must hold `prefill + product` with the product's bits).
+fn check_small(c: &GemmCase) -> Result<(), String> {
+    use nautilus_tensor::ops::matmul::{gemm_threshold, matmul_ex, matmul_into, MatmulSpec};
+    prop_assert!(c.m * c.k * c.n < gemm_threshold(), "case must stay below the threshold");
+    let mut rng = StdRng::seed_from_u64(c.seed);
+    let a_dims = if c.ta { (c.k, c.m) } else { (c.m, c.k) };
+    let b_dims = if c.tb { (c.n, c.k) } else { (c.k, c.n) };
+    let a: Vec<f32> = (0..c.m * c.k).map(|_| entry(&mut rng)).collect();
+    let b: Vec<f32> = (0..c.k * c.n).map(|_| entry(&mut rng)).collect();
+    let want = old_loops::matmul(&a, &b, a_dims, b_dims, c.ta, c.tb);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let at = Tensor::from_vec([a_dims.0, a_dims.1], a.clone()).unwrap();
+    let bt = Tensor::from_vec([b_dims.0, b_dims.1], b.clone()).unwrap();
+    let got = matmul_ex(&at, &bt, MatmulSpec { transpose_a: c.ta, transpose_b: c.tb })
+        .map_err(|e| e.to_string())?;
+    prop_assert!(bits(got.data()) == bits(&want), "matmul_ex differs from the old loops: {c:?}");
+
+    let aref = if c.ta { MatRef::transposed(&a, c.m) } else { MatRef::row_major(&a, c.k) };
+    let bref = if c.tb { MatRef::transposed(&b, c.k) } else { MatRef::row_major(&b, c.n) };
+    let (pad, fill) = (3usize, 0.25f32);
+    let rs = c.n + pad;
+    let mut out = vec![fill; c.m * rs];
+    matmul_into(c.m, c.k, c.n, aref, bref, &mut out, rs);
+    for i in 0..c.m {
+        let row = &out[i * rs..(i + 1) * rs];
+        prop_assert!(row[c.n..].iter().all(|&x| x == fill), "pad of row {i} written for {c:?}");
+        // Accumulating onto `fill` equals the product accumulated from
+        // zero only when the product is exact; compare against the same
+        // ascending-k sum started from `fill` instead.
+        let mut start = vec![fill; c.n];
+        for p in 0..c.k {
+            let av = if c.ta { a[p * c.m + i] } else { a[i * c.k + p] };
+            if av == 0.0 {
+                continue;
+            }
+            for (j, o) in start.iter_mut().enumerate() {
+                *o += av * if c.tb { b[j * c.k + p] } else { b[p * c.n + j] };
+            }
+        }
+        prop_assert!(bits(&row[..c.n]) == bits(&start), "matmul_into row {i} bits differ: {c:?}");
+    }
+    Ok(())
+}
+
+/// Random shapes below the live dispatch threshold, all transpose flags.
+struct SmallGen;
+
+impl Gen for SmallGen {
+    type Value = GemmCase;
+    fn generate(&self, rng: &mut StdRng) -> GemmCase {
+        let limit = nautilus_tensor::ops::matmul::gemm_threshold();
+        loop {
+            let m = rng.gen_range(1usize..40);
+            let k = rng.gen_range(1usize..300);
+            let n = rng.gen_range(1usize..40);
+            if m * k * n < limit {
+                let (ta, tb) = (rng.gen_bool(0.5), rng.gen_bool(0.5));
+                return GemmCase { m, k, n, ta, tb, seed: rng.gen_range(0u64..1 << 32) };
+            }
+        }
+    }
+    fn shrink(&self, c: &GemmCase) -> Vec<GemmCase> {
+        GemmGen.shrink(c)
+    }
+}
+
 #[test]
 fn blocked_kernels_match_naive_and_stay_deterministic() {
     // Before the pool's first use; this binary holds no other test.
@@ -274,4 +447,5 @@ fn blocked_kernels_match_naive_and_stay_deterministic() {
     assert_eq!(pool::num_threads(), 8, "env override must win");
     prop_check(0x6e40_0001, 24, &GemmGen, check_gemm);
     prop_check(0x6e40_0002, 12, &ConvGen, check_conv);
+    prop_check(0x6e40_0003, 200, &SmallGen, check_small);
 }

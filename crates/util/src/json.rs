@@ -163,7 +163,7 @@ impl Json {
 
     /// Parses a JSON document (the whole input must be one value).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser { src: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -281,6 +281,7 @@ impl std::error::Error for JsonError {}
 pub const MAX_PARSE_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -449,16 +450,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 encoded char (input is a &str, so
-                    // the bytes are valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    if (c as u32) < 0x20 {
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte at once, so a string costs time linear in
+                    // its length. All three stoppers are ASCII, which never
+                    // occurs inside a multi-byte UTF-8 sequence, so the run
+                    // ends on a char boundary of the `&str` input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    if self.pos == start {
                         return Err(self.err("unescaped control character"));
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -468,9 +472,11 @@ impl Parser<'_> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated unicode escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
+        let mut v = 0u32;
+        for &c in &self.bytes[self.pos..self.pos + 4] {
+            let d = (c as char).to_digit(16).ok_or_else(|| self.err("invalid unicode escape"))?;
+            v = v * 16 + d;
+        }
         self.pos += 4;
         Ok(v)
     }
@@ -1052,5 +1058,80 @@ mod tests {
         // document parses fine.
         let wide = format!("[{}]", vec!["[1]"; 1000].join(","));
         assert!(Json::parse(&wide).is_ok());
+    }
+
+    /// A string costs time linear in its length: 4 MB of mixed ASCII,
+    /// multi-byte characters and escapes round-trip in well under a second
+    /// (a per-character rescan of the remaining input would take hours).
+    #[test]
+    fn multi_megabyte_string_parses_in_linear_time() {
+        let unit = "plain ascii, caf\u{e9} \u{1F600} \"quoted\" \\ tab\t line\n ";
+        let big: String = unit.repeat((4 << 20) / unit.len());
+        let doc = Json::Arr(vec![Json::Str(big.clone()), Json::Int(7)]).to_string();
+        assert!(doc.len() >= 4 << 20);
+        let t0 = std::time::Instant::now();
+        let parsed = Json::parse(&doc).unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(parsed, Json::Arr(vec![Json::Str(big), Json::Int(7)]));
+        assert!(secs < 5.0, "4 MB string took {secs:.2} s to parse");
+    }
+
+    /// Random mixtures of JSON tokens, escapes, multi-byte characters and
+    /// raw bytes: random junk ([`Json::parse`] must return, never panic,
+    /// and whatever parses must print and re-parse to the same value), and
+    /// truncated documents (every strict prefix of a document whose
+    /// top-level value is an array is incomplete, so it must be `Err`).
+    #[test]
+    fn parse_is_total_over_byte_soup() {
+        use crate::prop::{prop_check, Gen};
+        use crate::rng::{Rng, StdRng};
+
+        const TOKENS: [&str; 28] = [
+            "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "\\ud83d", "\\ude00", "00e9",
+            "\\n", "true", "fals", "null", "-", "0", "12", ".5", "e+", "E-3", " ", "\n", "\u{1}",
+            "\u{e9}", "\u{1F600}", "\"k\":",
+        ];
+        struct Soup;
+        impl Gen for Soup {
+            type Value = Vec<u8>;
+            fn generate(&self, rng: &mut StdRng) -> Vec<u8> {
+                let mut out = Vec::new();
+                for _ in 0..rng.gen_range(0usize..40) {
+                    if rng.gen_range(0u32..5) == 0 {
+                        out.push(rng.gen_range(0u32..256) as u8);
+                    } else {
+                        out.extend_from_slice(TOKENS[rng.gen_range(0..TOKENS.len())].as_bytes());
+                    }
+                }
+                out
+            }
+            fn shrink(&self, v: &Vec<u8>) -> Vec<Vec<u8>> {
+                let mut out = Vec::new();
+                if !v.is_empty() {
+                    out.push(v[..v.len() / 2].to_vec());
+                    out.push(v[1..].to_vec());
+                    out.push(v[..v.len() - 1].to_vec());
+                }
+                out
+            }
+        }
+        prop_check(0x750A_0001, 2000, &Soup, |bytes| {
+            let text = String::from_utf8_lossy(bytes);
+            if let Ok(v) = Json::parse(&text) {
+                let again = Json::parse(&v.to_string());
+                crate::prop_assert!(again.as_ref() == Ok(&v), "{v:?} re-parsed as {again:?}");
+                let doc = Json::Arr(vec![v]).to_string();
+                for cut in 0..doc.len() {
+                    if doc.is_char_boundary(cut) {
+                        crate::prop_assert!(
+                            Json::parse(&doc[..cut]).is_err(),
+                            "truncated {:?} parsed",
+                            &doc[..cut]
+                        );
+                    }
+                }
+            }
+            Ok(())
+        });
     }
 }

@@ -52,6 +52,12 @@ fi
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+# Benchmark gate: perfbench (a package of its own, outside the workspace)
+# drives the crates only through their public API, so it must still build
+# and pass its own tests after any change to that API.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Kernel-dispatch coverage: the GEMM property suite must pass under both
 # kernel selections. `safe` re-proves the pinned deterministic path;
 # `fma` exercises the AVX2/FMA microkernel against the same oracles (the
