@@ -147,10 +147,10 @@ fn bench_int8(c: &mut Criterion) {
     // (the serving regime), so f32 runs the naive/blocked f32 path while
     // int8 runs the i32-accumulate dot kernels over 4x-smaller weights.
     // scripts/verify.sh gates int8 >= 1.2x f32 via results/BENCH_int8.json.
-    use nautilus_dnn::exec::forward_batch;
+    use nautilus_dnn::exec::{forward_batch, forward_batch_shared_trunk, TrunkGroup};
     use nautilus_dnn::graph::ParamInit;
     use nautilus_dnn::layer::{Activation, LayerKind};
-    use nautilus_dnn::quant::{forward_batch_quantized, QuantizedModel};
+    use nautilus_dnn::quant::QuantizedModel;
     use nautilus_dnn::ModelGraph;
 
     const IN: usize = 256;
@@ -181,16 +181,21 @@ fn bench_int8(c: &mut Criterion) {
         .unwrap();
     g.add_output(head).unwrap();
     let quant = QuantizedModel::from_graph(&g, None);
+    // Every dense layer serves int8, in one group spanning the batch.
+    let int8 = [TrunkGroup { rows: BATCH, overrides: None, quant: Some(&quant) }];
 
+    let input = randn([BATCH, IN], 1.0, &mut rng);
     let mut stacked = BatchInputs::new();
-    stacked.insert(inp, randn([BATCH, IN], 1.0, &mut rng));
+    stacked.insert(inp, input.clone());
 
     let mut group = c.benchmark_group("int8");
     group.bench_function("f32_forward/8", |b| {
         b.iter(|| forward_batch(&g, &stacked, BATCH).unwrap())
     });
     group.bench_function("int8_forward/8", |b| {
-        b.iter(|| forward_batch_quantized(&g, &stacked, BATCH, head, &quant, None).unwrap())
+        b.iter(|| {
+            forward_batch_shared_trunk(&g, inp, head, input.clone(), &int8, Some(&quant)).unwrap()
+        })
     });
     group.finish();
 }
@@ -448,8 +453,10 @@ fn bench_multitenant(c: &mut Criterion) {
                 .collect()
         })
         .collect();
-    let groups: Vec<TrunkGroup> =
-        overrides.iter().map(|o| TrunkGroup { rows: 1, overrides: Some(o) }).collect();
+    let groups: Vec<TrunkGroup> = overrides
+        .iter()
+        .map(|o| TrunkGroup { rows: 1, overrides: Some(o), quant: None })
+        .collect();
 
     let mut group = c.benchmark_group("multitenant");
     group.sample_size(15);
@@ -462,7 +469,7 @@ fn bench_multitenant(c: &mut Criterion) {
     });
     group.bench_function("shared_trunk/16", |b| {
         b.iter(|| {
-            forward_batch_shared_trunk(&template, input, output, stacked.clone(), &groups)
+            forward_batch_shared_trunk(&template, input, output, stacked.clone(), &groups, None)
                 .unwrap()
         })
     });

@@ -1107,19 +1107,6 @@ impl ModelSelection {
         }
     }
 
-    /// [`export_best`] plus the int8 serving form: every dense layer of
-    /// the exported graph row-quantized (per-channel symmetric scales) at
-    /// export time, ready to hand to a quantized serving path — the same
-    /// representation `ModelRegistry::publish_with` builds when
-    /// `quantize_int8` is on.
-    pub fn export_best_quantized(
-        &self,
-    ) -> Result<(usize, ModelGraph, nautilus_dnn::QuantizedModel), SessionError> {
-        let (ci, g) = self.export_best()?;
-        let quant = nautilus_dnn::QuantizedModel::from_graph(&g, None);
-        Ok((ci, g, quant))
-    }
-
     fn raw_record_bytes(&self) -> u64 {
         let g = &self.candidates[0].graph;
         let inp = g.input_ids()[0];

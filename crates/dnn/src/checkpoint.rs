@@ -281,8 +281,7 @@ mod tests {
     /// checkpoint must be an error.
     #[test]
     fn load_is_total_over_byte_soup() {
-        use nautilus_util::prop::{prop_check, Gen};
-        use nautilus_util::rng::{Rng, StdRng};
+        use nautilus_util::prop::{mutations_of, prop_check};
 
         const NUMBERS: [&str; 7] = [
             "0",
@@ -294,46 +293,7 @@ mod tests {
             "99999999999999999999",
         ];
         let valid = save_to_bytes(&sample_graph());
-        struct Soup(Vec<u8>);
-        impl Gen for Soup {
-            type Value = Vec<u8>;
-            fn generate(&self, rng: &mut StdRng) -> Vec<u8> {
-                let mut b = self.0.clone();
-                for _ in 0..rng.gen_range(1usize..4) {
-                    let at = rng.gen_range(0..b.len().max(1));
-                    match rng.gen_range(0u32..4) {
-                        0 => b.truncate(at),
-                        1 if !b.is_empty() => b[at] ^= 1 << rng.gen_range(0u32..8),
-                        2 => {
-                            let n = rng.gen_range(1usize..16);
-                            let junk: Vec<u8> =
-                                (0..n).map(|_| rng.gen_range(0u32..256) as u8).collect();
-                            b.splice(at..at, junk);
-                        }
-                        _ => {
-                            // Replace the digit run at or after `at` (a
-                            // header number, usually) by an extreme value.
-                            let Some(start) = (at..b.len()).find(|&i| b[i].is_ascii_digit()) else {
-                                continue;
-                            };
-                            let end = (start..b.len())
-                                .find(|&i| !b[i].is_ascii_digit())
-                                .unwrap_or(b.len());
-                            let num = NUMBERS[rng.gen_range(0..NUMBERS.len())].bytes();
-                            b.splice(start..end, num);
-                        }
-                    }
-                }
-                b
-            }
-            fn shrink(&self, v: &Vec<u8>) -> Vec<Vec<u8>> {
-                if v.is_empty() {
-                    return Vec::new();
-                }
-                vec![v[..v.len() / 2].to_vec(), v[..v.len() - 1].to_vec()]
-            }
-        }
-        prop_check(0xC4EC_0001, 600, &Soup(valid.clone()), |bytes| {
+        prop_check(0xC4EC_0001, 600, &mutations_of(valid.clone(), &NUMBERS), |bytes| {
             let _ = load_from_bytes(bytes);
             Ok(())
         });

@@ -11,6 +11,7 @@
 
 use crate::graph::{ModelGraph, NodeId};
 use crate::layer::{Activation, LayerKind};
+use crate::quant::QuantizedModel;
 use nautilus_tensor::ops::matmul::gemm_threshold;
 use nautilus_tensor::ops::{
     add, add_assign, avg_pool2d_global, conv2d, conv2d_backward, gelu, gelu_backward,
@@ -210,6 +211,48 @@ pub struct Gradients {
 /// copy of structurally identical deltas across tenants.
 pub type ParamOverrides = HashMap<NodeId, std::sync::Arc<Vec<Tensor>>>;
 
+/// The one forward node loop behind every executor: runs `ids` (in
+/// topological order) into `outs`, reading each node's parents from
+/// `outs`, its parameters through `overrides`, and serving it int8 when
+/// `quant` holds it. With `caches`, a node keeps its backward cache when
+/// its `requires_grad` flag is set.
+fn run_nodes(
+    graph: &ModelGraph,
+    ids: impl IntoIterator<Item = NodeId>,
+    inputs: &BatchInputs,
+    overrides: Option<&ParamOverrides>,
+    quant: Option<&QuantizedModel>,
+    outs: &mut [Option<Tensor>],
+    mut caches: Option<(&mut [Cache], &[bool])>,
+) -> Result<(), ExecError> {
+    for id in ids {
+        let node = graph.node(id);
+        let parents: Vec<&Tensor> = node
+            .inputs
+            .iter()
+            .map(|p| outs[p.index()].as_ref().expect("parents run first"))
+            .collect();
+        let (out, cache) = match quant.and_then(|q| q.layers.get(&id)) {
+            Some(q) => {
+                let out = q.forward(parents[0]).map_err(|e| exec_err(&node.name, e.message))?;
+                (out, Cache::None)
+            }
+            None => {
+                let params: &[Tensor] =
+                    overrides.and_then(|o| o.get(&id)).map_or(&node.params[..], |v| &v[..]);
+                let keep = caches.as_ref().is_some_and(|(_, rg)| rg[id.index()]);
+                run_forward(node, params, &parents, inputs, id, keep)
+                    .map_err(|e| exec_err(&node.name, e))?
+            }
+        };
+        if let Some((c, _)) = caches.as_mut() {
+            c[id.index()] = cache;
+        }
+        outs[id.index()] = Some(out);
+    }
+    Ok(())
+}
+
 /// Runs the forward pass. `training` controls whether backward caches are
 /// retained.
 pub fn forward(
@@ -217,47 +260,8 @@ pub fn forward(
     inputs: &BatchInputs,
     training: bool,
 ) -> Result<ForwardResult, ExecError> {
-    forward_with_overrides(graph, inputs, training, None)
-}
-
-/// [`forward`] with per-node parameter overrides (see [`ParamOverrides`]).
-///
-/// Nodes absent from the override map execute with their own `params`;
-/// overridden nodes execute with the supplied tensors. This is how a
-/// trainable-stripped base graph serves any of its variants.
-pub fn forward_with_overrides(
-    graph: &ModelGraph,
-    inputs: &BatchInputs,
-    training: bool,
-    overrides: Option<&ParamOverrides>,
-) -> Result<ForwardResult, ExecError> {
     let _sp = telemetry::span("dnn", "dnn.forward");
-    let n = graph.len();
-    let mut outputs: Vec<Option<Tensor>> = vec![None; n];
-    let mut caches: Vec<Cache> = Vec::with_capacity(n);
-    let requires_grad = graph.requires_grad();
-
-    for id in graph.ids() {
-        let node = graph.node(id);
-        let keep_cache = training && requires_grad[id.index()];
-        let parent_outputs: Vec<&Tensor> = node
-            .inputs
-            .iter()
-            .map(|p| outputs[p.index()].as_ref().expect("topological order"))
-            .collect();
-        let params: &[Tensor] = overrides
-            .and_then(|o| o.get(&id))
-            .map_or(&node.params[..], |v| &v[..]);
-        let (out, cache) = run_forward(node, params, &parent_outputs, inputs, id, keep_cache)
-            .map_err(|e| exec_err(&node.name, e))?;
-        outputs[id.index()] = Some(out);
-        caches.push(if keep_cache { cache } else { Cache::None });
-    }
-
-    Ok(ForwardResult {
-        outputs: outputs.into_iter().map(|o| o.expect("all nodes computed")).collect(),
-        caches,
-    })
+    forward_all(graph, inputs, training)
 }
 
 /// Inference forward over a stacked batch of `batch` records: one graph
@@ -279,16 +283,35 @@ pub fn forward_batch(
     batch: usize,
 ) -> Result<ForwardResult, ExecError> {
     let _sp = telemetry::span("dnn", "dnn.forward_batch");
-    nautilus_tensor::ops::with_batch_invariant_dispatch(batch, || forward(graph, inputs, false))
+    with_batch_invariant_dispatch(batch, || forward_all(graph, inputs, false))
+}
+
+/// Every node of `graph`, with caches when `training`.
+fn forward_all(
+    graph: &ModelGraph,
+    inputs: &BatchInputs,
+    training: bool,
+) -> Result<ForwardResult, ExecError> {
+    let n = graph.len();
+    let mut outs = vec![None; n];
+    let mut caches = vec![Cache::None; n];
+    let rg = graph.requires_grad();
+    let keep = training.then_some((&mut caches[..], &rg[..]));
+    run_nodes(graph, graph.ids(), inputs, None, None, &mut outs, keep)?;
+    let outputs = outs.into_iter().map(|o| o.expect("all nodes computed")).collect();
+    Ok(ForwardResult { outputs, caches })
 }
 
 /// One tenant's slice of a shared-trunk batch: `rows` consecutive records
-/// of the stacked input, executed with the variant's [`ParamOverrides`].
+/// of the stacked input, executed with the variant's [`ParamOverrides`]
+/// and, for int8 serving, its quantized suffix layers.
 pub struct TrunkGroup<'a> {
     /// Number of consecutive records belonging to this group.
     pub rows: usize,
     /// The variant's trainable parameters (`None` = graph's own params).
     pub overrides: Option<&'a ParamOverrides>,
+    /// Suffix nodes served int8 (`None` = all suffix nodes run f32).
+    pub quant: Option<&'a QuantizedModel>,
 }
 
 /// Inference over a stacked batch spanning several variants of one base:
@@ -296,25 +319,27 @@ pub struct TrunkGroup<'a> {
 /// **once** over the union batch, then each group's suffix (adapters,
 /// heads, and any frozen layers above them) runs on its own row slice with
 /// its own parameter overrides — the serving dual of the paper's FUSE
-/// optimization.
+/// optimization. Trunk nodes in `trunk_quant` and suffix nodes in a
+/// group's `quant` run the int8 row-quantized kernel; the rest run f32.
 ///
 /// Bit-identity with solo serving is preserved by the same dispatch
 /// pinning as [`forward_batch`]: the trunk pass divides kernel work
 /// estimates by the union batch and each suffix pass by its group's rows,
 /// so every kernel choice is a function of one record's shape only, and
-/// all graph ops are record-separable. Each returned tensor is therefore
-/// bit-identical to running that group's records alone through the full
-/// variant graph.
+/// all graph ops are record-separable (int8 layers quantize activations
+/// per row and accumulate exactly in i32). Each returned tensor is
+/// therefore bit-identical to running that group's records alone.
 ///
 /// `stacked` must hold `sum(rows)` records of `input`'s per-record shape;
 /// returns one stacked output tensor (of node `output`) per group, in
-/// order.
+/// order. A single group spanning the batch runs without row copies.
 pub fn forward_batch_shared_trunk(
     graph: &ModelGraph,
     input: NodeId,
     output: NodeId,
     stacked: Tensor,
     groups: &[TrunkGroup<'_>],
+    trunk_quant: Option<&QuantizedModel>,
 ) -> Result<Vec<Tensor>, ExecError> {
     let _sp = telemetry::span("dnn", "dnn.forward_shared_trunk");
     let n = graph.len();
@@ -332,95 +357,49 @@ pub fn forward_batch_shared_trunk(
         ));
     }
     let rg = graph.requires_grad();
+    let trunk = graph.ids().filter(|id| !rg[id.index()]);
+    let suffix = || graph.ids().filter(|id| rg[id.index()]);
 
     // Trunk pass: every tenant-independent node, once, over the union batch.
+    // A trunk node's parents are all trunk: requires_grad is monotone along
+    // edges, so !rg[child] implies !rg[parent].
     let mut binputs = BatchInputs::new();
     binputs.insert(input, stacked);
-    let mut trunk_out: Vec<Option<Tensor>> = vec![None; n];
-    nautilus_tensor::ops::with_batch_invariant_dispatch(total, || -> Result<(), ExecError> {
-        for id in graph.ids() {
-            if rg[id.index()] {
-                continue;
-            }
-            let node = graph.node(id);
-            // A trunk node's parents are all trunk: requires_grad is
-            // monotone along edges, so !rg[child] implies !rg[parent].
-            let parents: Vec<&Tensor> = node
-                .inputs
-                .iter()
-                .map(|p| trunk_out[p.index()].as_ref().expect("trunk parents are trunk"))
-                .collect();
-            let (out, _) = run_forward(node, &node.params, &parents, &binputs, id, false)
-                .map_err(|e| exec_err(&node.name, e))?;
-            trunk_out[id.index()] = Some(out);
-        }
-        Ok(())
+    let mut outs: Vec<Option<Tensor>> = vec![None; n];
+    with_batch_invariant_dispatch(total, || {
+        run_nodes(graph, trunk, &binputs, None, trunk_quant, &mut outs, None)
     })?;
 
-    // Fully frozen graph: no per-tenant suffix, just split the rows.
-    if !rg[output.index()] {
-        let shared = trunk_out[output.index()].take().expect("output computed in trunk");
-        let mut row = 0usize;
-        return Ok(groups
-            .iter()
-            .map(|g| {
-                let t = slice_rows(&shared, row, row + g.rows);
-                row += g.rows;
-                t
-            })
-            .collect());
+    let empty = BatchInputs::new();
+    if let [g] = groups {
+        with_batch_invariant_dispatch(g.rows, || {
+            run_nodes(graph, suffix(), &empty, g.overrides, g.quant, &mut outs, None)
+        })?;
+        return Ok(vec![outs[output.index()].take().expect("output computed")]);
     }
 
-    // Boundary: trunk nodes feeding at least one per-tenant node.
+    // Boundary: trunk nodes each group's suffix reads (the output itself
+    // when the whole graph is trunk).
     let mut needed = vec![false; n];
-    for id in graph.ids() {
-        if rg[id.index()] {
-            for p in &graph.node(id).inputs {
-                if !rg[p.index()] {
-                    needed[p.index()] = true;
-                }
-            }
+    needed[output.index()] = !rg[output.index()];
+    for id in suffix() {
+        for p in &graph.node(id).inputs {
+            needed[p.index()] |= !rg[p.index()];
         }
     }
-
-    let empty = BatchInputs::new();
     let mut results = Vec::with_capacity(groups.len());
     let mut row = 0usize;
     for g in groups {
         let (a, b) = (row, row + g.rows);
         row = b;
-        let out = nautilus_tensor::ops::with_batch_invariant_dispatch(
-            g.rows,
-            || -> Result<Tensor, ExecError> {
-                let mut outs: Vec<Option<Tensor>> = vec![None; n];
-                for (i, need) in needed.iter().enumerate() {
-                    if *need {
-                        outs[i] =
-                            Some(slice_rows(trunk_out[i].as_ref().expect("boundary is trunk"), a, b));
-                    }
-                }
-                for id in graph.ids() {
-                    if !rg[id.index()] {
-                        continue;
-                    }
-                    let node = graph.node(id);
-                    let parents: Vec<&Tensor> = node
-                        .inputs
-                        .iter()
-                        .map(|p| outs[p.index()].as_ref().expect("suffix parents available"))
-                        .collect();
-                    let params: &[Tensor] = g
-                        .overrides
-                        .and_then(|o| o.get(&id))
-                        .map_or(&node.params[..], |v| &v[..]);
-                    let (out, _) = run_forward(node, params, &parents, &empty, id, false)
-                        .map_err(|e| exec_err(&node.name, e))?;
-                    outs[id.index()] = Some(out);
-                }
-                Ok(outs[output.index()].take().expect("output computed in suffix"))
-            },
-        )?;
-        results.push(out);
+        let mut g_outs: Vec<Option<Tensor>> = vec![None; n];
+        for (i, _) in needed.iter().enumerate().filter(|(_, &need)| need) {
+            g_outs[i] = Some(slice_rows(outs[i].as_ref().expect("boundary is trunk"), a, b));
+        }
+        with_batch_invariant_dispatch(g.rows, || {
+            run_nodes(graph, suffix(), &empty, g.overrides, g.quant, &mut g_outs, None)
+        })?;
+        results.push(g_outs[output.index()].take().expect("output computed"));
     }
     Ok(results)
 }
@@ -518,7 +497,7 @@ fn act_backward(act: Activation, pre: &Tensor, grad: &Tensor) -> Result<Tensor, 
 }
 
 #[allow(clippy::too_many_lines)]
-pub(crate) fn run_forward(
+fn run_forward(
     node: &crate::graph::Node,
     params: &[Tensor],
     parents: &[&Tensor],
@@ -868,21 +847,14 @@ fn transformer_backward(
     let (dres2, dg2, db2ln) = layer_norm_backward(&tc.ln2_xhat, &tc.ln2_inv_std, ln2g, dout)?;
     // Feed-forward branch.
     let dff = &dres2;
-    let ff_act = gelu_from_tanh(&tc.ff_pre, &tc.ff_tanh)?;
-    let dw2 = matmul_ta(&ff_act, dff)?;
-    let db2 = sum_rows(dff)?;
     let dff_act = matmul_tb_weight(dff, w2)?;
     let dff_pre = gelu_backward_from_tanh(&tc.ff_pre, &tc.ff_tanh, &dff_act)?;
-    let dw1 = matmul_ta(&tc.h1, &dff_pre)?;
-    let db1 = sum_rows(&dff_pre)?;
     let mut dh1 = dres2.clone(); // residual path
     add_assign(&mut dh1, &matmul_tb_weight(&dff_pre, w1)?)?;
     // Attention layer norm.
     let (dres1, dg1, db1ln) = layer_norm_backward(&tc.ln1_xhat, &tc.ln1_inv_std, ln1g, &dh1)?;
     // Attention output projection.
     let dao = &dres1;
-    let dwo = matmul_ta(&tc.ctx, dao)?;
-    let dbo = sum_rows(dao)?;
     let dctx = matmul_tb_weight(dao, wo)?;
     // Attention cores, per record and head, on strided head views: dv
     // accumulates in place; dq and dk go through one `[S, dh]` scratch so
@@ -924,8 +896,10 @@ fn transformer_backward(
             }
         }
     });
-    // Input projections.
+    // Parameter gradients, only for a trainable block: a frozen one just
+    // passes the input gradient through.
     let param_grads = if trainable {
+        let ff_act = gelu_from_tanh(&tc.ff_pre, &tc.ff_tanh)?;
         vec![
             matmul_ta(&tc.x, &dq)?,
             sum_rows(&dq)?,
@@ -933,14 +907,14 @@ fn transformer_backward(
             sum_rows(&dk)?,
             matmul_ta(&tc.x, &dv)?,
             sum_rows(&dv)?,
-            dwo,
-            dbo,
+            matmul_ta(&tc.ctx, dao)?,
+            sum_rows(dao)?,
             dg1,
             db1ln,
-            dw1,
-            db1,
-            dw2,
-            db2,
+            matmul_ta(&tc.h1, &dff_pre)?,
+            sum_rows(&dff_pre)?,
+            matmul_ta(&ff_act, dff)?,
+            sum_rows(dff)?,
             dg2,
             db2ln,
         ]
@@ -1830,9 +1804,9 @@ mod tests {
         let groups: Vec<TrunkGroup<'_>> = rows
             .iter()
             .zip(&overrides)
-            .map(|(&rows, ov)| TrunkGroup { rows, overrides: Some(ov) })
+            .map(|(&rows, ov)| TrunkGroup { rows, overrides: Some(ov), quant: None })
             .collect();
-        let outs = forward_batch_shared_trunk(&base, inp, out, stacked, &groups).unwrap();
+        let outs = forward_batch_shared_trunk(&base, inp, out, stacked, &groups, None).unwrap();
 
         for (gi, ((g, _, _), group)) in variants.iter().zip(&records).enumerate() {
             let per = outs[gi].len() / rows[gi];
@@ -1885,6 +1859,40 @@ mod tests {
         let ff_act = gelu_from_tanh(&tc.ff_pre, &tc.ff_tanh).unwrap();
         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&ff_act), bits(&gelu(&tc.ff_pre)), "rebuilt activation must match bitwise");
+    }
+
+    /// A frozen transformer block skips its parameter gradients but must
+    /// pass the same input gradient, bit for bit, as the trainable block.
+    #[test]
+    fn frozen_transformer_input_gradient_matches_trainable() {
+        let (b, s, dim, heads, ff) = (2usize, 6usize, 8usize, 2usize, 12usize);
+        let mut rng = seeded_rng(37);
+        let mut g = ModelGraph::new();
+        let inp = g.add_input("seq", [s, dim]);
+        let t = g
+            .add_layer(
+                "block",
+                LayerKind::TransformerBlock { dim, heads, ff_dim: ff },
+                &[inp],
+                false,
+                ParamInit::Seeded(&mut rng),
+            )
+            .unwrap();
+        g.add_output(t).unwrap();
+        let mut bi = BatchInputs::new();
+        bi.insert(inp, randn([b, s, dim], 1.0, &mut rng));
+        let fwd = forward(&g, &bi, true).unwrap();
+        let Cache::Transformer(tc) = &fwd.caches[t.index()] else { panic!("transformer cache") };
+        let dout = randn([b, s, dim], 1.0, &mut rng);
+        let params = &g.node(t).params;
+        let trainable = transformer_backward(tc, params, dim, heads, &dout, true, true).unwrap();
+        let frozen = transformer_backward(tc, params, dim, heads, &dout, false, true).unwrap();
+        assert_eq!(trainable.param_grads.len(), params.len());
+        assert!(frozen.param_grads.is_empty(), "a frozen block computes no parameter gradients");
+        let bits = |o: &BackwardOut| {
+            o.input_grads[0].as_ref().unwrap().data().iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&frozen), bits(&trainable), "input gradients must match bitwise");
     }
 
     /// At this size the transformer fans per-record attention tasks out

@@ -18,7 +18,10 @@
 //! * [`exec`] — forward/backward execution over a graph for a mini-batch,
 //!   computing gradients only where a trainable layer can be reached
 //!   (frozen sub-DAGs cost forward-only, matching the paper's `ccomp`
-//!   multipliers).
+//!   multipliers). Every forward — training, batched serving, and
+//!   shared-trunk serving with f32 or int8 layers — runs through one
+//!   node loop; the shared-trunk pass runs the frozen trunk once over a
+//!   multi-tenant batch and splits at the trainable frontier (FUSE).
 //! * [`optim`] — SGD/momentum/Adam optimizers with per-parameter state; a
 //!   fused model trains each branch with its *own* optimizer (§3, Trainer).
 //! * [`loss`] — softmax cross-entropy heads for token tagging and
@@ -29,9 +32,10 @@
 //!   per-tenant delta (trainable params only), with content hashes for
 //!   dedup and a compact delta checkpoint format; the substrate of the
 //!   multi-tenant serving plane.
-//! * [`quant`] — int8 row-quantized serving forms of dense layers and a
-//!   quantized batch forward, compressing the hot serving path's compute
-//!   the way [`delta`] compresses its storage.
+//! * [`quant`] — int8 row-quantized serving forms of dense layers, which
+//!   the shared-trunk executor runs in place of their f32 nodes,
+//!   compressing the hot serving path's compute the way [`delta`]
+//!   compresses its storage.
 
 pub mod checkpoint;
 pub mod delta;
@@ -45,11 +49,11 @@ pub mod summary;
 
 pub use delta::{apply_delta, base_signature, extract_delta, strip_trainable, GraphDelta};
 pub use exec::{
-    backward, forward, forward_batch_shared_trunk, forward_with_overrides, BatchInputs,
-    ForwardResult, ParamOverrides, TrunkGroup,
+    backward, forward, forward_batch_shared_trunk, BatchInputs, ForwardResult, ParamOverrides,
+    TrunkGroup,
 };
 pub use graph::{GraphError, ModelGraph, Node, NodeId};
 pub use layer::{Activation, LayerKind};
 pub use loss::TaskKind;
 pub use optim::{Optimizer, OptimizerSpec};
-pub use quant::{forward_batch_quantized, QuantDense, QuantizedModel};
+pub use quant::{QuantDense, QuantizedModel};

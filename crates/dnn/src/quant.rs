@@ -1,4 +1,4 @@
-//! int8 row-quantized serving forward.
+//! int8 row-quantized serving layers.
 //!
 //! The serving counterpart of [`crate::delta`]: where delta extraction
 //! splits a trained variant into shared frozen base + per-tenant deltas,
@@ -10,11 +10,11 @@
 //!
 //! Only [`LayerKind::Dense`] nodes quantize — they are where serving
 //! FLOPs live in the MLP/head suffixes the multi-tenant plane hosts.
-//! Every other node (embeddings, transformer blocks, adapters, norms,
-//! combinators) runs its ordinary f32 path via the shared
-//! [`crate::exec`] machinery, so a [`QuantizedModel`] composes with
-//! [`ParamOverrides`]: a node present in `layers` serves int8, any other
-//! trainable node still resolves through the overrides map.
+//! The executor ([`crate::exec::forward_batch_shared_trunk`]) takes a
+//! [`QuantizedModel`] for the shared trunk and one per tenant suffix: a
+//! node present in `layers` serves int8, every other node (embeddings,
+//! transformer blocks, adapters, norms, combinators) runs its ordinary f32
+//! path with its parameters resolved through [`ParamOverrides`].
 //!
 //! Accuracy contract: dynamic per-row activation scales plus per-channel
 //! weight scales bound the logit delta tightly enough that top-1
@@ -22,14 +22,12 @@
 //! batch-invariant by construction since every input row quantizes
 //! against its own scale.
 
-use crate::exec::{apply_act, exec_err, run_forward, BatchInputs, ExecError, ParamOverrides};
+use crate::exec::{apply_act, exec_err, ExecError, ParamOverrides};
 use crate::graph::{ModelGraph, NodeId};
 use crate::layer::LayerKind;
 use nautilus_tensor::ops::qgemm::{qgemm_dyn, quantize_rows, QuantizedMatrix};
-use nautilus_tensor::ops::with_batch_invariant_dispatch;
 use nautilus_tensor::Tensor;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// One dense layer's int8 serving form: weights transposed to
 /// `[out_channel][in_dim]` row-major and quantized per channel, bias and
@@ -95,20 +93,15 @@ impl QuantDense {
 }
 
 /// The int8 serving form of (part of) a model: quantized dense layers
-/// keyed by node id. `Arc` granularity lets a registry share one resident
-/// quantization of the frozen trunk across every tenant of a base.
+/// keyed by node id. A registry builds one for each base's frozen trunk
+/// and one for each int8 tenant's head.
 #[derive(Debug, Clone, Default)]
 pub struct QuantizedModel {
     /// Quantized dense layers by node.
-    pub layers: HashMap<NodeId, Arc<QuantDense>>,
+    pub layers: HashMap<NodeId, QuantDense>,
 }
 
 impl QuantizedModel {
-    /// Empty model (no node serves int8).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Quantizes every dense node of `graph` selected by `select`,
     /// resolving parameters through `overrides` exactly like the f32
     /// forward does. Non-dense nodes are never quantized.
@@ -127,7 +120,7 @@ impl QuantizedModel {
             let params: &[Tensor] = overrides
                 .and_then(|o| o.get(&id))
                 .map_or(&node.params[..], |v| &v[..]);
-            layers.insert(id, Arc::new(QuantDense::from_params(&params[0], &params[1], *act)));
+            layers.insert(id, QuantDense::from_params(&params[0], &params[1], *act));
         }
         QuantizedModel { layers }
     }
@@ -138,85 +131,34 @@ impl QuantizedModel {
         Self::from_graph_where(graph, overrides, |_| true)
     }
 
-    /// Whether any node serves int8.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
     /// Total heap bytes across all quantized layers.
     pub fn bytes(&self) -> usize {
         self.layers.values().map(|l| l.bytes()).sum()
     }
-
-    /// Merges `other`'s layers over `self`'s (other wins on conflict),
-    /// sharing the `Arc`s. Used to combine a base's frozen-trunk
-    /// quantization with a tenant's quantized head.
-    pub fn merged_with(&self, other: &QuantizedModel) -> QuantizedModel {
-        let mut layers = self.layers.clone();
-        for (id, l) in &other.layers {
-            layers.insert(*id, Arc::clone(l));
-        }
-        QuantizedModel { layers }
-    }
-}
-
-/// Inference forward over a stacked batch of `batch` records where dense
-/// nodes present in `quant` run the int8 row-quantized kernel and every
-/// other node runs its ordinary f32 path (with `overrides` resolution,
-/// exactly like [`crate::exec::forward_with_overrides`]).
-///
-/// Kernel dispatch for the residual f32 nodes is pinned to per-record
-/// work via [`with_batch_invariant_dispatch`]; the int8 nodes are
-/// batch-invariant by construction (per-row activation scales, exact
-/// integer accumulation). Returns the output tensor of node `output`.
-pub fn forward_batch_quantized(
-    graph: &ModelGraph,
-    inputs: &BatchInputs,
-    batch: usize,
-    output: NodeId,
-    quant: &QuantizedModel,
-    overrides: Option<&ParamOverrides>,
-) -> Result<Tensor, ExecError> {
-    let _sp = nautilus_util::telemetry::span("dnn", "dnn.forward_quantized");
-    let n = graph.len();
-    if output.index() >= n {
-        return Err(exec_err("graph", "output node out of range"));
-    }
-    with_batch_invariant_dispatch(batch, || -> Result<Tensor, ExecError> {
-        let mut outputs: Vec<Option<Tensor>> = vec![None; n];
-        for id in graph.ids() {
-            let node = graph.node(id);
-            let parents: Vec<&Tensor> = node
-                .inputs
-                .iter()
-                .map(|p| outputs[p.index()].as_ref().expect("topological order"))
-                .collect();
-            let out = if let Some(q) = quant.layers.get(&id) {
-                q.forward(parents[0]).map_err(|mut e| {
-                    e.node = node.name.clone();
-                    e
-                })?
-            } else {
-                let params: &[Tensor] = overrides
-                    .and_then(|o| o.get(&id))
-                    .map_or(&node.params[..], |v| &v[..]);
-                let (out, _) = run_forward(node, params, &parents, inputs, id, false)
-                    .map_err(|e| exec_err(&node.name, e))?;
-                out
-            };
-            outputs[id.index()] = Some(out);
-        }
-        Ok(outputs[output.index()].take().expect("output computed"))
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{forward_batch_shared_trunk, BatchInputs, TrunkGroup};
     use crate::graph::ParamInit;
     use crate::layer::Activation;
     use nautilus_tensor::init::{randn, seeded_rng};
     use nautilus_tensor::ops::matmul;
+    use std::sync::Arc;
+
+    /// The int8 serving forward of `input` as one group spanning the
+    /// batch, trunk and suffix nodes both served from `qm`.
+    fn quant_forward(
+        g: &ModelGraph,
+        (x, y): (NodeId, NodeId),
+        input: Tensor,
+        qm: &QuantizedModel,
+        overrides: Option<&ParamOverrides>,
+    ) -> Tensor {
+        let group = TrunkGroup { rows: input.shape().dim(0), overrides, quant: Some(qm) };
+        forward_batch_shared_trunk(g, x, y, input, &[group], Some(qm)).unwrap().remove(0)
+    }
 
     /// Frozen 32→48 trunk layer + trainable 48→10 head.
     fn mlp(seed: u64) -> (ModelGraph, NodeId, NodeId) {
@@ -273,7 +215,7 @@ mod tests {
         let qm = QuantizedModel::from_graph(&g, None);
         assert_eq!(qm.layers.len(), 2);
         assert!(qm.bytes() > 0);
-        let q_out = forward_batch_quantized(&g, &inputs, 6, y, &qm, None).unwrap();
+        let q_out = quant_forward(&g, (x, y), inputs.get(x).unwrap().clone(), &qm, None);
         assert_eq!(q_out.shape(), f32_out.shape());
         for (i, (&a, &b)) in q_out.data().iter().zip(f32_out.data()).enumerate() {
             assert!((a - b).abs() <= 0.05 * b.abs() + 0.6, "[{i}] int8 {a} vs f32 {b}");
@@ -295,7 +237,7 @@ mod tests {
         let new_b = randn([10], 0.2, &mut rng);
         let mut ov: ParamOverrides = HashMap::new();
         ov.insert(y, Arc::new(vec![new_w.clone(), new_b.clone()]));
-        let out = forward_batch_quantized(&g, &inputs, 2, y, &qm, Some(&ov)).unwrap();
+        let out = quant_forward(&g, (x, y), inputs.get(x).unwrap().clone(), &qm, Some(&ov));
         // Reference: same quantized trunk, head applied by hand.
         let trunk_id = *qm.layers.keys().next().unwrap();
         let trunk = qm.layers[&trunk_id].forward(inputs.get(x).unwrap()).unwrap();
@@ -312,9 +254,7 @@ mod tests {
         let mut rng = seeded_rng(24);
         let batch = randn([5, 32], 1.0, &mut rng);
         let qm = QuantizedModel::from_graph(&g, None);
-        let mut inputs = BatchInputs::new();
-        inputs.insert(x, batch.clone());
-        let stacked = forward_batch_quantized(&g, &inputs, 5, y, &qm, None).unwrap();
+        let stacked = quant_forward(&g, (x, y), batch.clone(), &qm, None);
         let per = stacked.len() / 5;
         for r in 0..5 {
             let solo_in = Tensor::from_vec(
@@ -322,24 +262,12 @@ mod tests {
                 batch.data()[r * 32..(r + 1) * 32].to_vec(),
             )
             .unwrap();
-            let mut si = BatchInputs::new();
-            si.insert(x, solo_in);
-            let solo = forward_batch_quantized(&g, &si, 1, y, &qm, None).unwrap();
+            let solo = quant_forward(&g, (x, y), solo_in, &qm, None);
             assert_eq!(
                 &stacked.data()[r * per..(r + 1) * per],
                 solo.data(),
                 "record {r} diverged from solo serving"
             );
         }
-    }
-
-    #[test]
-    fn merged_with_prefers_other_and_shares_arcs() {
-        let (g, _x, y) = mlp(11);
-        let base = QuantizedModel::from_graph(&g, None);
-        let head_only = QuantizedModel::from_graph_where(&g, None, |id| id == y);
-        let merged = base.merged_with(&head_only);
-        assert_eq!(merged.layers.len(), base.layers.len());
-        assert!(Arc::ptr_eq(&merged.layers[&y], &head_only.layers[&y]));
     }
 }

@@ -4,21 +4,22 @@
 //! Requests enqueue a record and block on a reply channel; a single
 //! batcher thread collects up to `max_batch` records — waiting at most
 //! `max_delay_us` for stragglers once the first record arrives — and runs
-//! them grouped by *shared base*: all records whose variants ride the same
-//! frozen base share **one** trunk forward over the union batch
-//! ([`forward_batch_shared_trunk`]), then each tenant's adapter/head
+//! them grouped by *shared base* and precision: all records whose variants
+//! ride the same frozen base share **one** trunk forward over the union
+//! batch ([`forward_batch_shared_trunk`]), then each tenant's adapter/head
 //! suffix runs on its own row slice — the serving dual of the paper's
-//! FUSE optimization. Each request is pinned at submit time to the
-//! artifact it was shape-validated against, so a hot swap never tears an
-//! in-flight request. Kernel dispatch is pinned to per-record work, so a
-//! record's result is **bit-identical** whether it rode alone, in a
-//! single-tenant batch, or in a shared-trunk batch with other tenants —
-//! batching is purely a throughput optimization, never a numerics change.
+//! FUSE optimization. int8 tenants of a base share the base's quantized
+//! trunk in a pass of their own; f32 tenants share the f32 trunk. Each
+//! request is pinned at submit time to the artifact it was shape-validated
+//! against, so a hot swap never tears an in-flight request. Kernel
+//! dispatch is pinned to per-record work, so a record's result is
+//! **bit-identical** whether it rode alone, in a single-tenant batch, or
+//! in a shared-trunk batch with other tenants — batching is purely a
+//! throughput optimization, never a numerics change.
 
 use crate::registry::{BaseModel, ModelArtifact, ModelRegistry, RegistryError};
 use nautilus_core::config::ServingConfig;
-use nautilus_dnn::exec::{forward_batch_shared_trunk, BatchInputs, TrunkGroup};
-use nautilus_dnn::quant::forward_batch_quantized;
+use nautilus_dnn::exec::{forward_batch_shared_trunk, TrunkGroup};
 use nautilus_tensor::Tensor;
 use nautilus_util::telemetry;
 use std::sync::mpsc;
@@ -160,13 +161,6 @@ impl MicroBatcher {
         self.inner.state.lock().expect("batcher lock").queue.len()
     }
 
-    /// Submits one record for the registry's default tenant.
-    #[deprecated(note = "use the tenant-keyed `predict(id, record)`")]
-    pub fn predict_default(&self, record: Vec<f32>) -> Result<PredictOutput, PredictError> {
-        let id = self.inner.registry.default_id().as_str().to_string();
-        self.predict(&id, record)
-    }
-
     /// Drains the queue (answering everything still enqueued) and joins
     /// the worker thread.
     pub fn shutdown(&mut self) {
@@ -220,166 +214,103 @@ fn batcher_loop(inner: &Inner) {
 }
 
 fn run_batch(batch: Vec<Pending>) {
-    // Group by shared base first (one trunk forward per base), then by
-    // pinned artifact within the base (one suffix pass per variant), both
-    // in arrival order. Requests for variants of *different* bases — or
-    // spanning a hot swap that changed the architecture — never mix.
-    // Variants published with int8 quantization peel off into per-tenant
-    // quantized passes: they trade the shared f32 trunk for the integer
-    // kernels, so they never join an f32 trunk group.
+    // Group by shared base and precision first (one trunk forward per
+    // group), then by pinned artifact within the group (one suffix pass
+    // per variant), both in arrival order. Requests for variants of
+    // *different* bases — or spanning a hot swap that changed the
+    // architecture — never mix, and neither do f32 and int8 tenants of one
+    // base: their trunks run different kernels.
     type TenantGroup = (Arc<ModelArtifact>, Vec<Pending>);
-    let mut base_groups: Vec<(Arc<BaseModel>, Vec<TenantGroup>)> = Vec::new();
-    let mut quant_groups: Vec<TenantGroup> = Vec::new();
+    let mut base_groups: Vec<(Arc<BaseModel>, bool, Vec<TenantGroup>)> = Vec::new();
     for p in batch {
-        if p.artifact.quant.is_some() {
-            match quant_groups.iter_mut().find(|(a, _)| Arc::ptr_eq(a, &p.artifact)) {
-                Some((_, g)) => g.push(p),
-                None => quant_groups.push((Arc::clone(&p.artifact), vec![p])),
-            }
-            continue;
-        }
-        let base = Arc::clone(&p.artifact.base);
-        let idx = match base_groups.iter().position(|(b, _)| Arc::ptr_eq(b, &base)) {
+        let quantized = p.artifact.quant.is_some();
+        let base = &p.artifact.base;
+        let idx = match base_groups
+            .iter()
+            .position(|(b, q, _)| Arc::ptr_eq(b, base) && *q == quantized)
+        {
             Some(i) => i,
             None => {
-                base_groups.push((base, Vec::new()));
+                base_groups.push((Arc::clone(base), quantized, Vec::new()));
                 base_groups.len() - 1
             }
         };
-        let tenants = &mut base_groups[idx].1;
+        let tenants = &mut base_groups[idx].2;
         match tenants.iter_mut().find(|(a, _)| Arc::ptr_eq(a, &p.artifact)) {
             Some((_, g)) => g.push(p),
             None => tenants.push((Arc::clone(&p.artifact), vec![p])),
         }
     }
-    for (base, tenants) in base_groups {
-        run_base_group(&base, tenants);
-    }
-    for (artifact, group) in quant_groups {
-        run_quant_group(&artifact, group);
+    for (base, quantized, tenants) in base_groups {
+        run_base_group(&base, quantized, tenants);
     }
 }
 
-/// One int8 execution: a single quantized tenant's pendings, fused into
-/// one batch through [`forward_batch_quantized`].
-fn run_quant_group(artifact: &Arc<ModelArtifact>, group: Vec<Pending>) {
-    let quant = artifact.quant.as_ref().expect("routed on quant presence");
-    let k = group.len();
-    let _sp = telemetry::span("serve", "serve.batch");
-    let t0 = Instant::now();
-    let result = (|| -> Result<Tensor, PredictError> {
-        let per = artifact.record_elems;
-        let mut data = Vec::with_capacity(k * per);
-        for p in &group {
-            data.extend_from_slice(&p.record);
-        }
-        let stacked = Tensor::from_vec(artifact.record_shape.with_batch(k), data)
-            .map_err(|e| PredictError::Exec(e.to_string()))?;
-        let mut bi = BatchInputs::new();
-        bi.insert(artifact.input, stacked);
-        forward_batch_quantized(
-            &artifact.base.graph,
-            &bi,
-            k,
-            artifact.output,
-            quant,
-            Some(&artifact.overrides),
-        )
-        .map_err(|e| PredictError::Exec(e.to_string()))
-    })();
-    match result {
-        Ok(out) => {
-            telemetry::SERVE_BATCHES.add(1);
-            telemetry::SERVE_BATCH_RECORDS.add(k as u64);
-            telemetry::SERVE_BATCH_US.record(t0.elapsed().as_micros() as u64);
-            let out_data = out.data();
-            let out_per = out_data.len() / k.max(1);
-            for (i, p) in group.into_iter().enumerate() {
-                let _ = p.reply.send(Ok(PredictOutput {
-                    model_id: artifact.id.as_str().to_string(),
-                    version: artifact.version,
-                    batch_size: k,
-                    trunk_batch: k,
-                    values: out_data[i * out_per..(i + 1) * out_per].to_vec(),
-                }));
-            }
-        }
-        Err(e) => {
-            for p in group {
-                let _ = p.reply.send(Err(e.clone()));
-            }
-        }
-    }
-}
-
-/// One shared-trunk execution: all of one base's pendings, any tenants.
-fn run_base_group(base: &BaseModel, tenants: Vec<(Arc<ModelArtifact>, Vec<Pending>)>) {
+/// One shared-trunk execution: all of one base's pendings of one
+/// precision, any tenants. Stacks their records, runs one trunk pass plus
+/// one suffix pass per tenant, and answers each record with its rows.
+fn run_base_group(
+    base: &BaseModel,
+    quantized: bool,
+    tenants: Vec<(Arc<ModelArtifact>, Vec<Pending>)>,
+) {
     let total: usize = tenants.iter().map(|(_, g)| g.len()).sum();
     let _sp = telemetry::span("serve", "serve.batch");
     let t0 = Instant::now();
-    match forward_shared(base, &tenants, total) {
-        Ok(per_tenant_rows) => {
+    let mut data = Vec::with_capacity(total * base.record_elems);
+    for p in tenants.iter().flat_map(|(_, g)| g) {
+        data.extend_from_slice(&p.record);
+    }
+    let groups: Vec<TrunkGroup<'_>> = tenants
+        .iter()
+        .map(|(a, g)| TrunkGroup {
+            rows: g.len(),
+            overrides: Some(&a.overrides),
+            quant: a.quant.as_ref(),
+        })
+        .collect();
+    let result = Tensor::from_vec(base.record_shape.with_batch(total), data)
+        .map_err(|e| e.to_string())
+        .and_then(|stacked| {
+            let trunk_quant = quantized.then(|| base.frozen_quant());
+            forward_batch_shared_trunk(
+                &base.graph,
+                base.input,
+                base.output,
+                stacked,
+                &groups,
+                trunk_quant,
+            )
+            .map_err(|e| e.to_string())
+        });
+    match result {
+        Ok(outs) => {
             telemetry::SERVE_BATCHES.add(1);
             telemetry::SERVE_BATCH_RECORDS.add(total as u64);
             if tenants.len() > 1 {
                 telemetry::SERVE_TRUNK_SHARED_RECORDS.add(total as u64);
             }
             telemetry::SERVE_BATCH_US.record(t0.elapsed().as_micros() as u64);
-            for ((artifact, group), rows) in tenants.into_iter().zip(per_tenant_rows) {
+            for ((artifact, group), out) in tenants.into_iter().zip(outs) {
                 let k = group.len();
-                for (p, values) in group.into_iter().zip(rows) {
+                let per = out.len() / k;
+                for (i, p) in group.into_iter().enumerate() {
                     let _ = p.reply.send(Ok(PredictOutput {
                         model_id: artifact.id.as_str().to_string(),
                         version: artifact.version,
                         batch_size: k,
                         trunk_batch: total,
-                        values,
+                        values: out.data()[i * per..(i + 1) * per].to_vec(),
                     }));
                 }
             }
         }
         Err(e) => {
-            for (_, group) in tenants {
-                for p in group {
-                    let _ = p.reply.send(Err(e.clone()));
-                }
+            for p in tenants.into_iter().flat_map(|(_, g)| g) {
+                let _ = p.reply.send(Err(PredictError::Exec(e.clone())));
             }
         }
     }
-}
-
-/// Stacks all tenants' records, runs one trunk pass + per-tenant
-/// suffixes, splits each tenant's output rows per record.
-fn forward_shared(
-    base: &BaseModel,
-    tenants: &[(Arc<ModelArtifact>, Vec<Pending>)],
-    total: usize,
-) -> Result<Vec<Vec<Vec<f32>>>, PredictError> {
-    let per = base.record_elems;
-    let mut data = Vec::with_capacity(total * per);
-    for (_, group) in tenants {
-        for p in group {
-            data.extend_from_slice(&p.record);
-        }
-    }
-    let stacked = Tensor::from_vec(base.record_shape.with_batch(total), data)
-        .map_err(|e| PredictError::Exec(e.to_string()))?;
-    let groups: Vec<TrunkGroup<'_>> = tenants
-        .iter()
-        .map(|(a, g)| TrunkGroup { rows: g.len(), overrides: Some(&a.overrides) })
-        .collect();
-    let outs = forward_batch_shared_trunk(&base.graph, base.input, base.output, stacked, &groups)
-        .map_err(|e| PredictError::Exec(e.to_string()))?;
-    Ok(outs
-        .iter()
-        .zip(tenants)
-        .map(|(out, (_, group))| {
-            let k = group.len();
-            let out_data = out.data();
-            let out_per = out_data.len() / k.max(1);
-            (0..k).map(|i| out_data[i * out_per..(i + 1) * out_per].to_vec()).collect()
-        })
-        .collect())
 }
 
 #[cfg(test)]
@@ -548,6 +479,55 @@ mod tests {
             saw_shared_trunk |= out.trunk_batch > out.batch_size;
         }
         assert!(saw_shared_trunk, "no batch ever shared a trunk across tenants");
+    }
+
+    /// Two int8 tenants and one f32 tenant of one base in one batch
+    /// window: the int8 tenants share one quantized trunk pass and each
+    /// answers bitwise as when served alone; the f32 tenant never joins it.
+    #[test]
+    fn int8_tenants_of_one_base_share_a_trunk_pass_apart_from_f32() {
+        use crate::registry::PublishOptions;
+        let registry = Arc::new(ModelRegistry::new());
+        let int8 = PublishOptions { quantize_int8: true };
+        registry.publish_with("q0", adapter_variant(800, 16, 4), int8).unwrap();
+        registry.publish_with("q1", adapter_variant(801, 16, 4), int8).unwrap();
+        let f32_graph = adapter_variant(802, 16, 4);
+        registry.publish("f", f32_graph.clone()).unwrap();
+
+        let mut rng = seeded_rng(808);
+        let jobs: Vec<(String, Vec<f32>)> = ["q0", "q1", "f", "q0", "q1", "f"]
+            .iter()
+            .map(|t| (t.to_string(), (0..16).map(|_| rng.gen_f32() * 2.0 - 1.0).collect()))
+            .collect();
+        // A batch as large as the job count behind a long door: every job
+        // rides the same batch.
+        let batcher =
+            Arc::new(MicroBatcher::start(Arc::clone(&registry), &cfg(jobs.len(), 10_000_000)));
+        let handles: Vec<_> = jobs
+            .iter()
+            .cloned()
+            .map(|(t, r)| {
+                let b = Arc::clone(&batcher);
+                std::thread::spawn(move || b.predict(&t, r).expect("prediction succeeds"))
+            })
+            .collect();
+        let outputs: Vec<PredictOutput> =
+            handles.into_iter().map(|h| h.join().unwrap()).collect();
+
+        let solo = MicroBatcher::start(Arc::clone(&registry), &cfg(1, 0));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for ((t, r), out) in jobs.iter().zip(&outputs) {
+            let alone = solo.predict(t, r.clone()).unwrap();
+            assert_eq!(alone.trunk_batch, 1);
+            assert_eq!(bits(&out.values), bits(&alone.values), "tenant {t}: batched != alone");
+            assert_eq!(out.batch_size, 2);
+            if t == "f" {
+                assert_eq!(out.trunk_batch, 2, "the f32 tenant must not share the int8 trunk");
+                assert_eq!(out.values, solo_forward(&f32_graph, r));
+            } else {
+                assert_eq!(out.trunk_batch, 4, "int8 tenants must share one trunk pass");
+            }
+        }
     }
 
     #[test]

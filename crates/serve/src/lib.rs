@@ -24,13 +24,18 @@
 //!   manifests) and fault back in transparently on the next request.
 //! * **Cross-tenant micro-batching** — concurrent predictions fuse into
 //!   one batch ([`batcher::MicroBatcher`]); records whose variants share
-//!   a base run **one** trunk forward over the union batch
-//!   ([`nautilus_dnn::exec::forward_batch_shared_trunk`]) with per-tenant
-//!   suffix passes — the serving dual of the paper's FUSE optimization.
-//!   Results stay **bit-identical** to solo single-model execution (the
-//!   kernel-dispatch pinning in
+//!   a base and a precision run **one** trunk forward over the union
+//!   batch ([`nautilus_dnn::exec::forward_batch_shared_trunk`]) with
+//!   per-tenant suffix passes — the serving dual of the paper's FUSE
+//!   optimization. Results stay **bit-identical** to solo single-model
+//!   execution (the kernel-dispatch pinning in
 //!   `nautilus_tensor::ops::with_batch_invariant_dispatch` guarantees the
 //!   same kernels run regardless of batch composition).
+//! * **Int8 serving** — a tenant published with `quantize_int8` serves
+//!   its dense layers through the row-quantized int8 kernel: the base's
+//!   frozen trunk is quantized once ([`registry::BaseModel::frozen_quant`])
+//!   and the int8 tenants of a base share its trunk pass, apart from the
+//!   f32 tenants. Per-row activation scales keep it batch-invariant.
 //! * **Tenant routing** — `POST /predict/<id>` (or `X-Model-Id` header),
 //!   `GET /model/<id>`, `GET /models`; `/stats` reports per-tenant
 //!   prediction counts and the registry's logical-vs-stored dedup ratio.
@@ -55,18 +60,16 @@
 //!   discrete transitions (publish, evict, fault-in, shed, SLO breach)
 //!   go to the structured `nautilus_util::eventlog`.
 //!
-//! Everything is `std`-only: the HTTP parser, JSON codec, thread pool,
-//! and telemetry all come from in-tree substrates.
+//! Everything is `std`-only: the HTTP parser (`nautilus_util::http`), JSON
+//! codec, thread pool, and telemetry all come from in-tree substrates.
 
 pub mod batcher;
 pub mod deltastore;
-pub mod http;
 pub mod registry;
 pub mod server;
 
 pub use batcher::{MicroBatcher, PredictError, PredictOutput};
 pub use deltastore::{DeltaStore, StoreError, StorePut};
-pub use http::{Request, Response};
 pub use registry::{
     BaseModel, ModelArtifact, ModelId, ModelRegistry, ModelSummary, PublishOptions, RegistryError,
     RegistryStats,

@@ -11,12 +11,8 @@
 //!
 //! Publishing is an atomic per-tenant hot swap: requests that pinned the
 //! previous `Arc<ModelArtifact>` keep using it untouched. Cold variants
-//! LRU-evict their delta to a [`DeltaStore`](crate::deltastore::DeltaStore)
-//! and fault back in transparently on the next [`ModelRegistry::get`].
-//!
-//! The pre-multi-tenant single-slot surface (`current`, `version`,
-//! `publish_single*`) survives as thin deprecated wrappers over the
-//! configured default tenant.
+//! LRU-evict their delta to a [`DeltaStore`] and fault back in
+//! transparently on the next [`ModelRegistry::get`].
 
 use crate::deltastore::DeltaStore;
 use nautilus_core::config::ServingConfig;
@@ -87,19 +83,19 @@ pub struct BaseModel {
     pub frozen_bytes: usize,
     /// Lazily built int8 form of the frozen dense trunk (see
     /// [`BaseModel::frozen_quant`]).
-    frozen_quant: std::sync::OnceLock<Arc<QuantizedModel>>,
+    frozen_quant: std::sync::OnceLock<QuantizedModel>,
 }
 
 impl BaseModel {
     /// The int8 serving form of the frozen dense trunk: quantized once
-    /// per base on first quantized publish, then shared (`Arc`) by every
-    /// tenant of the family — the compute analogue of the base's
-    /// one-resident-copy weight sharing.
-    pub fn frozen_quant(&self) -> Arc<QuantizedModel> {
-        Arc::clone(self.frozen_quant.get_or_init(|| {
+    /// per base on first quantized publish, then used by the one shared
+    /// trunk pass of every int8 tenant of the family — the compute
+    /// analogue of the base's one-resident-copy weight sharing.
+    pub fn frozen_quant(&self) -> &QuantizedModel {
+        self.frozen_quant.get_or_init(|| {
             let rg = self.graph.requires_grad();
-            Arc::new(QuantizedModel::from_graph_where(&self.graph, None, |id| !rg[id.index()]))
-        }))
+            QuantizedModel::from_graph_where(&self.graph, None, |id| !rg[id.index()])
+        })
     }
 }
 
@@ -126,10 +122,11 @@ pub struct ModelArtifact {
     pub input: NodeId,
     /// The base graph's output head.
     pub output: NodeId,
-    /// int8 serving form (frozen trunk + this tenant's quantized head)
-    /// when the variant was published with `quantize_int8`; `None` serves
-    /// the ordinary f32 path.
-    pub quant: Option<Arc<QuantizedModel>>,
+    /// This tenant's quantized head (the dense nodes its delta overrides)
+    /// when the variant was published with `quantize_int8`; the trunk is
+    /// the base's [`BaseModel::frozen_quant`]. `None` serves the ordinary
+    /// f32 path.
+    pub quant: Option<QuantizedModel>,
 }
 
 impl ModelArtifact {
@@ -382,7 +379,7 @@ impl ModelRegistry {
         })
     }
 
-    /// The tenant served by un-suffixed routes and deprecated wrappers.
+    /// The tenant served by un-suffixed routes.
     pub fn default_id(&self) -> &ModelId {
         &self.default_id
     }
@@ -415,14 +412,14 @@ impl ModelRegistry {
         }
     }
 
-    /// The int8 serving form for one tenant: the base's shared quantized
-    /// trunk merged with this tenant's freshly quantized head (the nodes
-    /// its delta overrides).
-    fn build_quant(base: &BaseModel, overrides: &ParamOverrides) -> Arc<QuantizedModel> {
-        let head = QuantizedModel::from_graph_where(&base.graph, Some(overrides), |id| {
+    /// One tenant's quantized head (the nodes its delta overrides). Also
+    /// builds the base's shared quantized trunk if this is its first int8
+    /// tenant, so no request pays for it.
+    fn build_quant(base: &BaseModel, overrides: &ParamOverrides) -> QuantizedModel {
+        base.frozen_quant();
+        QuantizedModel::from_graph_where(&base.graph, Some(overrides), |id| {
             overrides.contains_key(&id)
-        });
-        Arc::new(base.frozen_quant().merged_with(&head))
+        })
     }
 
     fn validate(graph: &ModelGraph) -> Result<(NodeId, NodeId, Shape), RegistryError> {
@@ -766,33 +763,6 @@ impl ModelRegistry {
         st.bytes_stored = stored_bases + inner.pool.stored_bytes as u64;
         st
     }
-
-    /// Publishes `graph` for the default tenant.
-    #[deprecated(note = "use the tenant-keyed `publish(id, graph)`")]
-    pub fn publish_single(&self, graph: ModelGraph) -> Result<u64, RegistryError> {
-        let id = self.default_id.clone();
-        self.publish(id.as_str(), graph)
-    }
-
-    /// Loads a checkpoint and publishes it for the default tenant.
-    #[deprecated(note = "use the tenant-keyed `publish_from_checkpoint(id, path)`")]
-    pub fn publish_single_from_checkpoint(&self, path: &Path) -> Result<u64, RegistryError> {
-        let id = self.default_id.clone();
-        self.publish_from_checkpoint(id.as_str(), path)
-    }
-
-    /// The default tenant's artifact, if published (single-slot view).
-    #[deprecated(note = "use the tenant-keyed `get(id)`")]
-    pub fn current(&self) -> Option<Arc<ModelArtifact>> {
-        self.get(self.default_id.clone().as_str()).ok()
-    }
-
-    /// The default tenant's version; 0 when nothing is published.
-    #[deprecated(note = "use `get(id)` / `list()`")]
-    pub fn version(&self) -> u64 {
-        #[allow(deprecated)]
-        self.current().map_or(0, |a| a.version)
-    }
 }
 
 #[cfg(test)]
@@ -940,20 +910,6 @@ mod tests {
         let reg = ModelRegistry::new();
         reg.publish("a", variant_graph(1)).unwrap();
         assert!(matches!(reg.evict("a"), Err(RegistryError::NoStore)));
-    }
-
-    #[test]
-    fn deprecated_single_slot_wrappers_track_default_tenant() {
-        #[allow(deprecated)]
-        {
-            let reg = ModelRegistry::new();
-            assert_eq!(reg.version(), 0);
-            assert!(reg.current().is_none());
-            let v = reg.publish_single(variant_graph(1)).unwrap();
-            assert_eq!(v, 1);
-            assert_eq!(reg.version(), 1);
-            assert_eq!(reg.current().unwrap().id.as_str(), "default");
-        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! queued connection, flush the batcher, join all threads.
 
 use crate::batcher::{MicroBatcher, PredictError};
-use crate::http::{self, Limits, ReadError, Request, Response};
+use nautilus_util::http::{self, Limits, ReadError, Request, Response};
 use crate::registry::{ModelRegistry, RegistryError};
 use nautilus_core::config::{ObservabilityConfig, ServingConfig};
 use nautilus_util::json::Json;
@@ -366,7 +366,7 @@ fn shed(stream: TcpStream, shared: &Shared) {
 /// before the client reads it. So after sending we half-close and drain
 /// (bounded) until the client's own close acknowledges receipt.
 fn finish(stream: TcpStream, resp: &Response) {
-    crate::http::finish_connection(stream, resp);
+    http::finish_connection(stream, resp);
 }
 
 fn handler_loop(shared: &Shared) {

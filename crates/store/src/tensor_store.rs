@@ -14,7 +14,7 @@ use nautilus_util::{json, json_struct, pool, telemetry};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::path::{Path, PathBuf};
+use std::path::{Component, Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 /// Default page-cache model capacity for a freshly opened store. Sessions
@@ -129,18 +129,64 @@ fn dir_for(key: &str) -> String {
     format!("{safe}-{:016x}", h.finish())
 }
 
+/// Reads and decodes one chunk file and checks it against its manifest
+/// entry: `records` rows of `record_shape` each. A chunk that decodes to
+/// anything else is a [`StoreError::BadChunk`], never a short or
+/// misshapen read.
+fn load_chunk(
+    path: &Path,
+    records: usize,
+    record_shape: &[usize],
+) -> Result<(Tensor, u64), StoreError> {
+    let data = {
+        let _sp = telemetry::span("store", "store.chunk_read");
+        std::fs::read(path)?
+    };
+    let _sp = telemetry::span("store", "store.chunk_decode");
+    let t = ser::decode(&data).map_err(|e| StoreError::BadChunk(e.to_string()))?;
+    let dims = &t.shape().0;
+    if dims.first() != Some(&records) || dims[1..] != *record_shape {
+        return Err(StoreError::BadChunk(format!(
+            "{} decodes to {dims:?}, manifest has {records} records of {record_shape:?}",
+            path.display()
+        )));
+    }
+    Ok((t, data.len() as u64))
+}
+
 impl TensorStore {
     /// Opens (or creates) a store rooted at `root`.
     pub fn open(root: impl Into<PathBuf>, io: SharedIoStats) -> Result<Self, StoreError> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
         let manifest_path = root.join("manifest.json");
-        let manifest = if manifest_path.exists() {
+        let manifest: Manifest = if manifest_path.exists() {
             let data = std::fs::read(&manifest_path)?;
             json::from_slice(&data).map_err(|e| StoreError::BadManifest(e.to_string()))?
         } else {
             Manifest::default()
         };
+        // Every path the manifest names must stay inside the store (`delete`
+        // removes a key's directory recursively), and a key's record count
+        // must be the sum of its chunks' (ranged reads offset by it).
+        let plain = |name: &str| {
+            let mut parts = Path::new(name).components();
+            matches!((parts.next(), parts.next()), (Some(Component::Normal(_)), None))
+        };
+        for (key, meta) in &manifest.keys {
+            if !plain(&meta.dir) || meta.chunks.iter().any(|c| !plain(&c.file)) {
+                return Err(StoreError::BadManifest(format!(
+                    "key '{key}' names a path outside the store"
+                )));
+            }
+            let sum = meta.chunks.iter().try_fold(0usize, |n, c| n.checked_add(c.records));
+            if sum != Some(meta.records) {
+                return Err(StoreError::BadManifest(format!(
+                    "key '{key}' holds {} records, its chunks {sum:?}",
+                    meta.records
+                )));
+            }
+        }
         Ok(TensorStore {
             root,
             manifest,
@@ -369,16 +415,7 @@ impl TensorStore {
                 .iter()
                 .map(|c| {
                     let path = dir.join(&c.file);
-                    Box::new(move || {
-                        let data = {
-                            let _sp = telemetry::span("store", "store.chunk_read");
-                            std::fs::read(path)?
-                        };
-                        let _sp = telemetry::span("store", "store.chunk_decode");
-                        let t = ser::decode(&data)
-                            .map_err(|e| StoreError::BadChunk(e.to_string()))?;
-                        Ok((t, data.len() as u64))
-                    })
+                    Box::new(move || load_chunk(&path, c.records, &meta.record_shape))
                         as Box<dyn FnOnce() -> Result<(Tensor, u64), StoreError> + Send + '_>
                 })
                 .collect(),
@@ -427,7 +464,7 @@ impl TensorStore {
         // Collect the overlapping chunks, then read + decode + slice them
         // on the pool; results come back in chunk order.
         let mut offset = 0usize;
-        let mut wanted: Vec<(PathBuf, usize, usize)> = Vec::new();
+        let mut wanted: Vec<(PathBuf, usize, usize, usize)> = Vec::new();
         let mut chunk_keys: Vec<String> = Vec::new();
         for c in &meta.chunks {
             let chunk_range = offset..offset + c.records;
@@ -437,27 +474,21 @@ impl TensorStore {
             }
             let lo = start.saturating_sub(chunk_range.start);
             let hi = (end - chunk_range.start).min(c.records);
-            wanted.push((dir.join(&c.file), lo, hi));
+            wanted.push((dir.join(&c.file), c.records, lo, hi));
             chunk_keys.push(format!("{}/{}", meta.dir, c.file));
         }
         let loaded: Vec<Result<(Tensor, u64), StoreError>> = pool::join_all(
             wanted
                 .into_iter()
-                .map(|(path, lo, hi)| {
+                .map(|(path, records, lo, hi)| {
                     Box::new(move || {
-                        let data = {
-                            let _sp = telemetry::span("store", "store.chunk_read");
-                            std::fs::read(path)?
-                        };
-                        let _sp = telemetry::span("store", "store.chunk_decode");
-                        let t = ser::decode(&data)
-                            .map_err(|e| StoreError::BadChunk(e.to_string()))?;
+                        let (t, n) = load_chunk(&path, records, &meta.record_shape)?;
                         let slices: Vec<Tensor> = (lo..hi).map(|i| t.outer_slice(i)).collect();
                         let part = Tensor::stack(&slices)
                             .map_err(|e| StoreError::BadChunk(e.to_string()))?;
-                        Ok((part, data.len() as u64))
+                        Ok((part, n))
                     })
-                        as Box<dyn FnOnce() -> Result<(Tensor, u64), StoreError> + Send>
+                        as Box<dyn FnOnce() -> Result<(Tensor, u64), StoreError> + Send + '_>
                 })
                 .collect(),
         );
@@ -844,6 +875,89 @@ mod tests {
         hdr.extend_from_slice(&u32::MAX.to_le_bytes());
         std::fs::write(&chunk, &hdr).unwrap();
         assert!(matches!(s.read_all("k"), Err(StoreError::BadChunk(_))));
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A chunk whose decoded shape disagrees with its manifest entry is a
+    /// bad chunk to both readers: not a short read, a misshapen read, or
+    /// an out-of-range slice.
+    #[test]
+    fn chunk_disagreeing_with_its_manifest_entry_is_a_bad_chunk() {
+        let root = temp_root("mismatch");
+        let mut s = TensorStore::open(&root, SharedIoStats::new()).unwrap();
+        s.append("k", &Tensor::ones([3, 2])).unwrap();
+        let chunk = s.chunk_plan("k").unwrap()[0].path.clone();
+        // Too few records, then the right count of the wrong record shape.
+        for wrong in [Tensor::ones([1, 2]), Tensor::ones([3, 5])] {
+            std::fs::write(&chunk, ser::encode(&wrong)).unwrap();
+            assert!(matches!(s.read_all("k"), Err(StoreError::BadChunk(_))));
+            assert!(matches!(s.read_records("k", 0, 3), Err(StoreError::BadChunk(_))));
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// `open` is total over a corrupted `manifest.json`: truncations, bit
+    /// flips, spliced random bytes and numbers replaced by extreme values
+    /// give an error or a store, never a panic; a store that opens reads
+    /// every key without panicking; and every strict prefix of a valid
+    /// manifest is an error.
+    #[test]
+    fn open_is_total_over_manifest_byte_soup() {
+        use nautilus_util::prop::{mutations_of, prop_check};
+
+        const NUMBERS: [&str; 6] =
+            ["0", "1", "4", "4294967296", "18446744073709551615", "99999999999999999999"];
+        let root = temp_root("soup");
+        let mut s = TensorStore::open(&root, SharedIoStats::new()).unwrap();
+        s.append("a", &Tensor::ones([3, 2])).unwrap();
+        s.append("a", &Tensor::ones([2, 2])).unwrap();
+        s.append("b", &Tensor::ones([1, 4])).unwrap();
+        drop(s);
+        let path = root.join("manifest.json");
+        let valid = std::fs::read(&path).unwrap();
+        prop_check(0x5707_0001, 300, &mutations_of(valid.clone(), &NUMBERS), |bytes| {
+            std::fs::write(&path, bytes).unwrap();
+            if let Ok(s) = TensorStore::open(&root, SharedIoStats::new()) {
+                for key in s.keys() {
+                    let _ = s.read_all(&key);
+                    let _ = s.read_records(&key, 1, 4);
+                }
+            }
+            Ok(())
+        });
+        for cut in 0..valid.len() {
+            std::fs::write(&path, &valid[..cut]).unwrap();
+            let opened = TensorStore::open(&root, SharedIoStats::new());
+            assert!(opened.is_err(), "prefix of {cut} bytes opened");
+        }
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A manifest naming a directory or chunk outside the store is
+    /// rejected at open, before `delete` could remove what it names, and so
+    /// is a key whose record count is not the sum of its chunks'.
+    #[test]
+    fn inconsistent_manifest_entries_are_rejected() {
+        let root = temp_root("escape");
+        let mut s = TensorStore::open(&root, SharedIoStats::new()).unwrap();
+        s.append("k", &Tensor::ones([1, 2])).unwrap();
+        s.append("k", &Tensor::ones([2, 2])).unwrap();
+        drop(s);
+        let path = root.join("manifest.json");
+        let valid = std::fs::read_to_string(&path).unwrap();
+        let dir = dir_for("k");
+        for (from, to) in [
+            (format!("\"{dir}\""), "\"..\"".to_string()),
+            (format!("\"{dir}\""), "\"/tmp\"".to_string()),
+            (format!("\"{dir}\""), "\"a/b\"".to_string()),
+            ("\"chunk-000000.bin\"".to_string(), "\"../manifest.json\"".to_string()),
+            ("\"records\": 3".to_string(), "\"records\": 4".to_string()),
+        ] {
+            assert!(valid.contains(&from), "{from} not in {valid}");
+            std::fs::write(&path, valid.replacen(&from, &to, 1)).unwrap();
+            let opened = TensorStore::open(&root, SharedIoStats::new());
+            assert!(matches!(opened, Err(StoreError::BadManifest(_))), "{to} accepted");
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 

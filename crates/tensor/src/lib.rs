@@ -14,7 +14,7 @@
 //!   row-major, which keeps kernels simple and cache-friendly.
 //! * Large matmuls and convolutions run on the cache-blocked packed GEMM
 //!   engine in [`ops::gemm`] (convolutions lower via im2col); tiny shapes
-//!   run one small-shape kernel in [`ops::matmul`]. Kernels are *not* used
+//!   run one small-shape kernel in [`mod@ops::matmul`]. Kernels are *not* used
 //!   at all by the simulated backend (which only does cost math).
 //! * Tensor storage is recycled through the thread-local
 //!   `nautilus_util::scratch` arena: kernel outputs take recycled buffers

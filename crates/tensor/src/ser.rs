@@ -216,4 +216,52 @@ mod tests {
         b.put_u64_le(0);
         assert!(matches!(decode(&b), Err(DecodeError::TooLarge(_))));
     }
+
+    /// Byte soup built from back-to-back valid encodings (a matrix, a
+    /// scalar, an empty tensor): truncations, bit flips and spliced random
+    /// bytes, plus every header field (rank, each dim) overwritten with an
+    /// extreme value. `decode_from` must return on every input, never
+    /// panic or allocate past the buffer; whatever it decodes must be the
+    /// exact bytes it consumed; and every strict prefix of a valid
+    /// encoding must be an error.
+    #[test]
+    fn decode_from_is_total_over_byte_soup() {
+        use nautilus_util::prop::{mutations_of, prop_check};
+
+        let tensors =
+            [randn([3, 2], 1.0, &mut seeded_rng(5)), Tensor::scalar(2.5), Tensor::zeros([0, 4])];
+        let valid = encode_many(&tensors);
+        let total = |bytes: &[u8]| -> Result<(), String> {
+            let mut cur = bytes;
+            while cur.remaining() > 0 {
+                let before = cur.remaining();
+                let Ok(t) = decode_from(&mut cur) else { break };
+                let used = before - cur.remaining();
+                let start = bytes.len() - before;
+                nautilus_util::prop_assert!(
+                    encode(&t) == bytes[start..start + used],
+                    "decoded {t:?} is not the {used} bytes consumed"
+                );
+            }
+            Ok(())
+        };
+        prop_check(0x5E12_0001, 600, &mutations_of(valid.clone(), &[]), |b| total(b));
+
+        let extremes = [0u64, 1, 7, u32::MAX as u64, 1 << 40, u64::MAX];
+        let matrix = encode(&tensors[0]);
+        for (at, width) in [(8usize, 4usize), (12, 8), (20, 8)] {
+            for &x in &extremes {
+                let mut b = matrix.clone();
+                b[at..at + width].copy_from_slice(&x.to_le_bytes()[..width]);
+                total(&b).unwrap();
+            }
+        }
+
+        for t in &tensors {
+            let one = encode(t);
+            for cut in 0..one.len() {
+                assert!(decode_from(&mut &one[..cut]).is_err(), "prefix of {cut} bytes decoded");
+            }
+        }
+    }
 }

@@ -17,10 +17,11 @@
 //!   lock, so instrumented sites cost nothing in unobserved runs.
 //! - **Leveled.** [`Level::Debug`] through [`Level::Error`]; the sink's
 //!   threshold filters below it.
-//! - **Rate-limited per event name.** At most [`rate_limit`] lines per
-//!   event name per second; excess lines are dropped and summarized by a
-//!   `log.suppressed` record when the window rolls, so a shed storm or a
-//!   flapping SLO cannot turn the log into the bottleneck.
+//! - **Rate-limited per event name.** At most [`DEFAULT_RATE_LIMIT`] lines
+//!   (or the [`set_rate_limit`] override) per event name per second; excess
+//!   lines are dropped and summarized by a `log.suppressed` record when the
+//!   window rolls, so a shed storm or a flapping SLO cannot turn the log
+//!   into the bottleneck.
 //! - **Gated by `NAUTILUS_LOG`** (a path, or `stderr`/`-` for standard
 //!   error; level via `NAUTILUS_LOG_LEVEL`) through [`init_from_env`],
 //!   or programmatically via [`init_file`]/[`init_stderr`] — the

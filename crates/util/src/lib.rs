@@ -11,7 +11,7 @@
 //!   [`json_struct!`]/[`json_enum!`] impl macros.
 //! - [`prop`] — seeded, shrinking property-test harness
 //!   ([`prop::prop_check`]) with [`prop_assert!`]/[`prop_assert_eq!`].
-//! - [`bench`] — warmup + median-of-N timing harness with a
+//! - [`mod@bench`] — warmup + median-of-N timing harness with a
 //!   criterion-shaped API ([`criterion_group!`]/[`criterion_main!`]).
 //! - [`bytesio`] — checked little-endian buffer reads/writes over
 //!   `Vec<u8>` / `&[u8]`.

@@ -10,7 +10,7 @@
 //! ```ignore
 //! use nautilus_util::prop::{prop_check, vec_of, u64s};
 //!
-//! prop_check(0xSEED, 64, &vec_of(u64s(0..100), 0..20), |xs| {
+//! prop_check(0x5EED, 64, &vec_of(u64s(0..100), 0..20), |xs| {
 //!     prop_assert!(xs.iter().sum::<u64>() >= *xs.iter().max().unwrap_or(&0));
 //!     Ok(())
 //! });
@@ -377,6 +377,60 @@ impl<G: Gen, T: Clone + std::fmt::Debug, F: Fn(G::Value) -> T> Gen for Map<G, T,
     // property instead.
     fn shrink(&self, _v: &T) -> Vec<T> {
         Vec::new()
+    }
+}
+
+/// Generator of corrupted copies of a valid encoding, for checking that a
+/// decoder is total: 1–3 edits, each a truncation, a bit flip, a splice of
+/// up to 15 random bytes, or the ASCII digit run at or after a random
+/// offset (a header number, usually) replaced by one of `numbers`.
+/// Shrinks toward prefixes.
+pub struct Mutations {
+    valid: Vec<u8>,
+    numbers: &'static [&'static str],
+}
+
+/// Corrupted copies of `valid`; `numbers` are the extreme values the
+/// digit-run edit substitutes (none: that edit is skipped).
+pub fn mutations_of(valid: Vec<u8>, numbers: &'static [&'static str]) -> Mutations {
+    Mutations { valid, numbers }
+}
+
+impl Gen for Mutations {
+    type Value = Vec<u8>;
+    fn generate(&self, rng: &mut StdRng) -> Vec<u8> {
+        let mut b = self.valid.clone();
+        for _ in 0..rng.gen_range(1usize..4) {
+            let at = rng.gen_range(0..b.len().max(1));
+            match rng.gen_range(0u32..4) {
+                0 => b.truncate(at),
+                1 if !b.is_empty() => b[at] ^= 1 << rng.gen_range(0u32..8),
+                2 => {
+                    let n = rng.gen_range(1usize..16);
+                    let junk: Vec<u8> = (0..n).map(|_| rng.gen_range(0u32..256) as u8).collect();
+                    b.splice(at..at, junk);
+                }
+                _ => {
+                    if self.numbers.is_empty() {
+                        continue;
+                    }
+                    let Some(start) = (at..b.len()).find(|&i| b[i].is_ascii_digit()) else {
+                        continue;
+                    };
+                    let end =
+                        (start..b.len()).find(|&i| !b[i].is_ascii_digit()).unwrap_or(b.len());
+                    let num = self.numbers[rng.gen_range(0..self.numbers.len())].bytes();
+                    b.splice(start..end, num);
+                }
+            }
+        }
+        b
+    }
+    fn shrink(&self, v: &Vec<u8>) -> Vec<Vec<u8>> {
+        if v.is_empty() {
+            return Vec::new();
+        }
+        vec![v[..v.len() / 2].to_vec(), v[..v.len() - 1].to_vec()]
     }
 }
 

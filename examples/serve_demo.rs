@@ -19,9 +19,9 @@ use nautilus_repro::core::workloads::{Scale, WorkloadKind, WorkloadSpec};
 use nautilus_repro::core::{BackendKind, NautilusError, Strategy};
 use nautilus_repro::dnn::checkpoint;
 use nautilus_repro::dnn::exec::{forward, BatchInputs};
-use nautilus_repro::serve::{http, ModelRegistry, Server};
+use nautilus_repro::serve::{ModelRegistry, Server};
 use nautilus_repro::tensor::Tensor;
-use nautilus_repro::util::telemetry;
+use nautilus_repro::util::{http, telemetry};
 use std::sync::Arc;
 use std::time::Duration;
 

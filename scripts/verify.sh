@@ -52,6 +52,10 @@ fi
 cargo build --release --offline
 cargo test -q --offline --workspace
 
+# Docs gate: rustdoc warnings (a dangling intra-doc link to a deleted or
+# renamed item, an ambiguous link, an unparsable code block) fail the run.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 # Benchmark gate: perfbench (a package of its own, outside the workspace)
 # drives the crates only through their public API, so it must still build
 # and pass its own tests after any change to that API.
